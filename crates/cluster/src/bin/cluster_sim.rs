@@ -48,7 +48,10 @@
 //! reseeds the plan, redrawing chaos-generated crashes while explicit
 //! events stand. Reports from fault runs carry an extra `availability`
 //! section; zero-fault output is byte-identical to builds without these
-//! flags.
+//! flags. Colocated scenarios run through one event loop whatever the
+//! flags: a plan adds fault events to it (and delays completion delivery
+//! to finish times only when the plan holds a crash), an elastic
+//! `--autoscale` policy adds reconcile ticks and elastic slots.
 //!
 //! `--autoscale SPEC` installs an autoscale policy on every selected
 //! scenario (grammar in `cimtpu_autoscale::parse_autoscale`), making each
@@ -72,18 +75,20 @@
 //! `cluster_sim --json BENCH_cluster.json`.
 //!
 //! `--perf-json PATH` also writes one wall-clock [`PerfRecord`] per
-//! scenario — how fast the discrete-event driver itself ran on this
+//! scenario — how fast the discrete-event fleet loop itself ran on this
 //! machine (`requests_per_second`, `steps_per_second` against the host
 //! clock). The committed `BENCH_cluster_perf.json` snapshot is
 //! `cluster_sim --perf-json BENCH_cluster_perf.json` on the dev box;
 //! wall times are machine-dependent, so CI checks a floor on the
-//! `cluster-day-smoke` record rather than diffing bytes.
+//! `cluster-day-smoke` record, with and without a benign fault plan,
+//! rather than diffing bytes.
 //!
 //! `--trace PATH` attaches the `cimtpu-obs` flight recorder and writes a
 //! Chrome trace-event JSON file per scenario (load it in Perfetto or
 //! `chrome://tracing`; with several scenarios selected, the scenario
-//! name is inserted before the extension). One track per replica slot
-//! plus one per control plane; `--trace-filter crash,retry,...` keeps
+//! name is inserted before the extension). One track per replica slot,
+//! plus a control track under a fault plan (`control`) or an elastic
+//! policy (`reconciler`); `--trace-filter crash,retry,...` keeps
 //! only the named event kinds. `--metrics-csv PATH` writes the
 //! downsampled gauge series (`scenario,series,t_s,value` rows), and
 //! traced runs gain a `timeseries` section in the `--json` report.

@@ -1,11 +1,11 @@
-//! The autoscaled colocated driver: the discrete-event loop of
-//! [`run_colocated_faulty`](crate::engine) re-derived around a reconcile
-//! loop instead of a fault timeline.
+//! The autoscaling half of the colocated fleet loop
+//! ([`fleet`](crate::fleet)): slots, pools, and the reconcile tick.
 //!
 //! Each [`ReplicaSpec`] of the fleet becomes one elastic *group* of up to
-//! `max` identically-configured slots named `{name}-{slot}`. A
-//! [`Reconciler`] observes per-group telemetry on a fixed interval of the
-//! simulated clock and decides; this driver applies:
+//! `max` identically-configured slots named `{name}-{slot}`, and each
+//! group is one routing pool. A [`Reconciler`] observes per-group
+//! telemetry on a fixed interval of the simulated clock and decides; the
+//! loop applies:
 //!
 //! * **scale-up** — the lowest offline slot starts provisioning
 //!   (`provision` delay), then warms (`warmup`: weight load plus a cold
@@ -25,26 +25,22 @@
 //! Arrivals are hashed by session onto a group (a session is sticky to
 //! one model) and routed across the group's routable slots; a group
 //! scaled to zero parks arrivals until the reconciler wakes it, and the
-//! parked wait is charged to the request's latency. Event classes at one
-//! instant resolve in a fixed order — lifecycle transitions, the
-//! reconcile tick, arrivals, engine steps — so a seeded run replays
-//! bit-for-bit (the scaling-action log is pinned by a replay test).
+//! parked wait is charged to the request's latency. Provisioning and
+//! warmup ends are the loop's lifecycle transitions; the reconcile tick
+//! follows them at one instant, so a seeded run replays bit-for-bit (the
+//! scaling-action log is pinned by a replay test).
 
-use std::collections::HashMap;
-use std::rc::Rc;
-
-use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
-use cimtpu_autoscale::{action, AutoscalePolicy, GroupObservation, Reconciler, ScalingAction, ScalingDecision, ScalingStats};
-use cimtpu_serving::{
-    ActionHeap, ArrivalStream, Completion, EngineCore, EngineSession, PrefixStats, Request,
-    TrafficSpec,
+use cimtpu_autoscale::{
+    action, AutoscalePolicy, GroupObservation, Reconciler, ScalingAction, ScalingDecision,
+    ScalingStats,
 };
-use cimtpu_units::{Error, Joules, Result, Seconds};
+use cimtpu_obs::{EventKind, Recorder, TraceSink as _};
+use cimtpu_serving::{Completion, Request};
+use cimtpu_units::{Joules, Seconds};
 
-use crate::engine::{tenant_tag, ClusterRun, ReplicaAccum, Tenancy};
+use crate::fleet::{Fleet, Ledger};
 use crate::replica::ReplicaSpec;
-use crate::report::{ClusterReport, KvTransferStats, ReplicaUtilization};
-use crate::router::{splitmix64, HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy};
+use crate::router::{splitmix64, ReplicaHealth};
 
 /// One held-slot interval, for chip-seconds accounting: a slot costs from
 /// the scale-up decision (or t = 0 for an initial slot) until retirement
@@ -63,738 +59,362 @@ struct RampWindow {
     end: Option<f64>,
 }
 
-/// Static per-slot wiring: which group a slot belongs to and its
-/// concrete spec (`{group}-{slot}` clone of the group's base spec).
-struct Slot {
-    group: usize,
-    spec: ReplicaSpec,
-}
-
-/// Recorder wiring for the elastic driver: one track per slot, a
-/// `"reconciler"` control track for fleet-level events, and per-group
-/// `[queued, outstanding]` gauges sampled at each reconcile tick.
-struct ElasticTrace {
-    rec: SharedRecorder,
-    tracks: Vec<u32>,
-    control: u32,
+/// The autoscaled fleet's control-plane state.
+pub(crate) struct Elastic {
+    reconciler: Reconciler,
+    /// Group names (the base specs' names).
+    names: Vec<String>,
+    /// Each slot's group.
+    group_of: Vec<usize>,
+    /// Slots booting (provisioning or warming) — waiting to turn `Up`.
+    booting: Vec<bool>,
+    held: Vec<Vec<HeldInterval>>,
+    ramps: Vec<RampWindow>,
+    /// Per group since the last tick: (delivered, within SLO).
+    since_tick: Vec<(u64, u64)>,
+    stats: ScalingStats,
+    held_now: u64,
+    pub(crate) next_tick: Seconds,
+    /// Arrivals waiting for their scaled-to-zero group to wake.
+    pub(crate) parked: Vec<Vec<Request>>,
+    /// Per-group `[queued, outstanding]` gauges sampled at each tick.
     gseries: Vec<[usize; 2]>,
+    slo_ms: Option<f64>,
 }
 
-#[allow(clippy::too_many_arguments)] // one call site, in the engine's dispatch
-pub(crate) fn run_colocated_elastic(
-    replicas: &[ReplicaSpec],
-    policy: RouterPolicy,
-    label: &str,
-    traffic: &TrafficSpec,
-    slo_ms: Option<f64>,
-    autoscale: &AutoscalePolicy,
-    mut tenancy: Option<Tenancy<'_>>,
-    recorder: Option<&SharedRecorder>,
-) -> Result<ClusterRun> {
-    // ---- static wiring ------------------------------------------------
-    let ngroups = replicas.len();
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); ngroups];
-    let total_max: u64 = autoscale.groups.iter().map(|g| g.max).sum();
-    for (g, base) in replicas.iter().enumerate() {
-        // A swap recipient is by definition *at* its max, so the donated
-        // machine carries the group past it: with swaps on, each group
-        // gets spare slots for every machine the rest of the fleet could
-        // donate. The scale-up rule still caps plain growth at `max`.
-        let swap_spares =
-            if autoscale.swap { total_max - autoscale.groups[g].max } else { 0 };
-        for j in 0..autoscale.groups[g].max + swap_spares {
-            let mut spec = base.clone();
-            spec.name = format!("{}-{j}", base.name);
-            members[g].push(slots.len());
-            slots.push(Slot { group: g, spec });
+impl Elastic {
+    /// Expands every group into its slots: returns the slot specs, one
+    /// pool (slot list) per group, and the control state with each
+    /// group's `initial` slots held.
+    pub(crate) fn expand(
+        replicas: &[ReplicaSpec],
+        policy: &AutoscalePolicy,
+        slo_ms: Option<f64>,
+    ) -> (Vec<ReplicaSpec>, Vec<Vec<usize>>, Elastic) {
+        let mut specs = Vec::new();
+        let mut pools: Vec<Vec<usize>> = vec![Vec::new(); replicas.len()];
+        let mut group_of = Vec::new();
+        let mut held = Vec::new();
+        let total_max: u64 = policy.groups.iter().map(|g| g.max).sum();
+        for (g, base) in replicas.iter().enumerate() {
+            // A swap recipient is by definition *at* its max, so the
+            // donated machine carries the group past it: with swaps on,
+            // each group gets spare slots for every machine the rest of
+            // the fleet could donate. The scale-up rule still caps plain
+            // growth at `max`.
+            let swap_spares = if policy.swap { total_max - policy.groups[g].max } else { 0 };
+            for j in 0..policy.groups[g].max + swap_spares {
+                let mut spec = base.clone();
+                spec.name = format!("{}-{j}", base.name);
+                pools[g].push(specs.len());
+                specs.push(spec);
+                group_of.push(g);
+                held.push(if j < policy.groups[g].initial {
+                    vec![HeldInterval { start: 0.0, end: None }]
+                } else {
+                    Vec::new()
+                });
+            }
         }
+        let n = specs.len();
+        let initial = held.iter().filter(|h| !h.is_empty()).count() as u64;
+        let elastic = Elastic {
+            reconciler: Reconciler::new(policy.clone()),
+            names: replicas.iter().map(|r| r.name.clone()).collect(),
+            group_of,
+            booting: vec![false; n],
+            held,
+            ramps: Vec::new(),
+            since_tick: vec![(0, 0); replicas.len()],
+            stats: ScalingStats { peak_replicas: initial, ..ScalingStats::default() },
+            held_now: initial,
+            next_tick: policy.interval,
+            parked: vec![Vec::new(); replicas.len()],
+            gseries: Vec::new(),
+            slo_ms,
+        };
+        (specs, pools, elastic)
     }
-    let n = slots.len();
-    let sessions: Vec<EngineSession> = slots
-        .iter()
-        .map(|s| EngineSession::new(&s.spec.engine()?))
-        .collect::<Result<_>>()?;
-    let mut cores: Vec<EngineCore<'_>> =
-        sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
-    if let Some(t) = &tenancy {
-        for core in &mut cores {
-            core.set_tenancy(t.sched);
-        }
-    }
-    let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
-    let trace = recorder.map(|rec| {
-        let mut r = rec.borrow_mut();
-        let tracks: Vec<u32> = slots.iter().map(|s| r.track(&s.spec.name)).collect();
-        let control = r.track("reconciler");
-        let gseries: Vec<[usize; 2]> = replicas
+
+    /// Registers the per-group gauge series.
+    pub(crate) fn attach(&mut self, rec: &mut Recorder) {
+        self.gseries = self
+            .names
             .iter()
             .map(|g| {
                 [
-                    r.gauge_series(&format!("{}/queued", g.name)),
-                    r.gauge_series(&format!("{}/outstanding", g.name)),
+                    rec.gauge_series(&format!("{g}/queued")),
+                    rec.gauge_series(&format!("{g}/outstanding")),
                 ]
             })
             .collect();
-        drop(r);
-        ElasticTrace { rec: Rc::clone(rec), tracks, control, gseries }
-    });
-    if let Some(tr) = &trace {
-        for (k, core) in cores.iter_mut().enumerate() {
-            core.attach_trace(TraceHandle::new(Rc::clone(&tr.rec), tr.tracks[k]));
-        }
     }
-    let mut stream = ArrivalStream::new(traffic)?;
-    let offered = stream.total();
-    let mut routers: Vec<Box<dyn Router>> = (0..ngroups).map(|_| policy.build()).collect();
-    let mut reconciler = Reconciler::new(autoscale.clone());
-    let interval = autoscale.interval;
 
-    // ---- mutable fleet state ------------------------------------------
-    let mut health = HealthView::all_up(n);
-    // `live[k]`: the slot has an active core (initial or booted, not yet
-    // retired). Offline slots keep their pre-created core but it is never
-    // stepped; a boot replaces it with a fresh one (cold caches).
-    let mut live = vec![false; n];
-    let mut draining = vec![false; n];
-    // Slots booting (provisioning or warming) — waiting to turn `Up`.
-    let mut booting = vec![false; n];
-    let mut held: Vec<Vec<HeldInterval>> = (0..n).map(|_| Vec::new()).collect();
-    let mut assigned = vec![0u64; n];
-    let mut last_push = vec![f64::NEG_INFINITY; n];
-    let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
-    let mut delivered_by = vec![0u64; n];
-    let offline_until = Seconds::new(f64::INFINITY);
-    for (g, group_members) in members.iter().enumerate() {
-        for (j, &k) in group_members.iter().enumerate() {
-            if (j as u64) < autoscale.groups[g].initial {
-                live[k] = true;
-                held[k].push(HeldInterval { start: 0.0, end: None });
-            } else {
-                health.mark_down(k, offline_until);
-            }
+    /// Warmup after provisioning ends.
+    pub(crate) fn warmup(&self) -> Seconds {
+        self.reconciler.policy().warmup
+    }
+
+    /// Whether slot `k` was ever held (and so gets a report row).
+    pub(crate) fn held(&self, k: usize) -> bool {
+        !self.held[k].is_empty()
+    }
+
+    /// Whether any arrival is parked.
+    pub(crate) fn any_parked(&self) -> bool {
+        self.parked.iter().any(|p| !p.is_empty())
+    }
+
+    /// The pool (group) a request's session hashes onto.
+    pub(crate) fn pool_of(&self, r: &Request) -> usize {
+        (splitmix64(r.session) % self.names.len() as u64) as usize
+    }
+
+    /// Books a delivered completion of slot `k` for the next observation
+    /// and the ramp SLO-violation count.
+    pub(crate) fn on_delivered(&mut self, k: usize, c: &Completion) {
+        let g = self.group_of[k];
+        self.since_tick[g].0 += 1;
+        if self.slo_ms.is_none_or(|slo| c.latency().as_millis() <= slo) {
+            self.since_tick[g].1 += 1;
+        } else if self.ramps.iter().any(|w| {
+            // An open ramp extends to the end of the run.
+            w.group == g && c.finish.get() >= w.start && w.end.is_none_or(|e| c.finish.get() <= e)
+        }) {
+            self.stats.slo_violations_ramp += 1;
         }
     }
 
-    // ---- run ledger and scaling telemetry ------------------------------
-    let mut delivered: Vec<Completion> = Vec::new();
-    let mut origin: HashMap<u64, f64> = HashMap::new();
-    let mut parked: Vec<Vec<Request>> = vec![Vec::new(); ngroups];
-    let mut since_tick: Vec<(u64, u64)> = vec![(0, 0); ngroups]; // (delivered, slo_ok)
-    let mut ramps: Vec<RampWindow> = Vec::new();
-    let mut stats = ScalingStats {
-        peak_replicas: held.iter().filter(|h| !h.is_empty()).count() as u64,
-        ..ScalingStats::default()
-    };
-    let mut held_now = stats.peak_replicas;
-    let mut next_tick = interval;
-    let mut exhausted_closed = false;
-
-    let mut step_heap = ActionHeap::new(n);
-    for (k, core) in cores.iter().enumerate() {
-        if live[k] {
-            step_heap.set(k, core.next_action());
-        }
-    }
-
-    // Routable slots of a group, ascending.
-    let routable = |health: &HealthView, draining: &[bool], g: usize| -> Vec<usize> {
-        members[g].iter().copied().filter(|&k| health.is_up(k) && !draining[k]).collect()
-    };
-    // Pushes a request onto slot `k`, preserving the per-replica
-    // queue-tail monotonicity the engine requires (a parked request can
-    // land on a slot that booted after it arrived).
-    macro_rules! push_to {
-        ($k:expr, $r:expr) => {{
-            let (k, mut r): (usize, Request) = ($k, $r);
-            r.arrival_s = r.arrival_s.max(last_push[k]);
-            last_push[k] = r.arrival_s;
-            assigned[k] += 1;
-            if exhausted_closed {
-                cores[k].reopen();
-                cores[k].push(r);
-                cores[k].close();
-            } else {
-                cores[k].push(r);
-            }
-            step_heap.set(k, cores[k].next_action());
-        }};
-    }
-
-    loop {
-        let step_at = step_heap.peek();
-        let lifecycle_at =
-            health.next_transition().filter(|t| t.get().is_finite());
-        let arrival_at = stream.peek();
-        let parked_total: usize = parked.iter().map(Vec::len).sum();
-
-        // The run is over when nothing can produce or receive work:
-        // trailing reconcile ticks and in-flight boots are dropped.
-        if stream.exhausted() && parked_total == 0 && step_at.is_none() {
-            break;
-        }
-        // Closed-loop stall: clients wait on completions held in partial
-        // batches, which neither a tick nor a lifecycle transition can
-        // produce. Flush the lowest stalled live core (mirrors `drive`).
-        if arrival_at.is_none() && !stream.exhausted() && step_at.is_none() && parked_total == 0
-        {
-            let mut progressed = false;
-            for k in 0..n {
-                if live[k] && cores[k].flush_stalled()? {
-                    step_heap.set(k, cores[k].next_action());
-                    progressed = true;
-                    break;
-                }
-            }
-            if !progressed {
-                return Err(Error::invalid_config(
-                    "elastic driver stalled: closed-loop clients wait on completions \
-                     no engine can produce",
-                ));
-            }
-            continue;
-        }
-
-        // Candidate events; ascending class with strict `<` keeps the
-        // earlier class on time ties.
-        let candidates = [
-            (lifecycle_at, 0u8),
-            (Some(next_tick), 1),
-            (arrival_at, 2),
-            (step_at.map(|(_, t)| t), 3),
-        ];
-        let mut chosen: Option<(Seconds, u8)> = None;
-        for (t, class) in candidates {
-            if let Some(t) = t {
-                if chosen.is_none_or(|(bt, _)| t < bt) {
-                    chosen = Some((t, class));
-                }
-            }
-        }
-        let Some((now, class)) = chosen else {
-            return Err(Error::internal("the reconcile tick is always schedulable"));
-        };
-
-        match class {
-            // Lifecycle: provisioning ends (fresh core, warmup starts) and
-            // warmups end (slot turns Up, parked work flushes).
-            0 => {
-                for k in health.advance(now, autoscale.warmup) {
-                    // Warmup starts on a fresh core: empty allocator, cold
-                    // mapping cache — the boot pays real warm-up work.
-                    cores[k] = sessions[k].core()?;
-                    if let Some(t) = &tenancy {
-                        cores[k].set_tenancy(t.sched);
-                    }
-                    if let Some(tr) = &trace {
-                        cores[k].attach_trace(TraceHandle::new(Rc::clone(&tr.rec), tr.tracks[k]));
-                    }
-                    live[k] = true;
-                    last_push[k] = f64::NEG_INFINITY;
-                    if exhausted_closed {
-                        cores[k].close();
-                    }
-                    step_heap.set(k, cores[k].next_action());
-                }
-                for g in 0..ngroups {
-                    let mut woke = false;
-                    for &k in &members[g] {
-                        if booting[k] && health.is_up(k) {
-                            booting[k] = false;
-                            woke = true;
-                            // Service cannot start before the slot exists.
-                            last_push[k] = now.get();
-                            stats.actions.push(ScalingAction::new(
-                                now.get(),
-                                action::UP,
-                                &replicas[g].name,
-                                slots[k].spec.name.clone(),
-                            ));
-                            if let Some(tr) = &trace {
-                                tr.rec.borrow_mut().instant(
-                                    tr.tracks[k],
-                                    EventKind::Up,
-                                    0,
-                                    now.get(),
-                                );
-                            }
-                            for ramp in ramps.iter_mut() {
-                                if ramp.group == g && ramp.end.is_none() {
-                                    ramp.end = Some(now.get());
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if woke && !parked[g].is_empty() {
-                        let up = routable(&health, &draining, g);
-                        for r in std::mem::take(&mut parked[g]) {
-                            let snaps = group_snapshots(&cores, &up, now, &assigned, classed);
-                            let pos = routers[g].route(&r, &snaps).min(up.len() - 1);
-                            push_to!(up[pos], r);
-                        }
-                    }
-                }
-            }
-            // Reconcile tick: observe, decide, apply.
-            1 => {
-                next_tick += interval;
-                stats.reconciles += 1;
-                if let Some(tr) = &trace {
-                    tr.rec.borrow_mut().instant(
-                        tr.control,
-                        EventKind::Reconcile,
-                        stats.reconciles,
-                        now.get(),
-                    );
-                }
-                let obs: Vec<GroupObservation> = (0..ngroups)
-                    .map(|g| {
-                        let up = routable(&health, &draining, g);
-                        let mut queued = parked[g].len() as u64;
-                        let mut outstanding = 0;
-                        let mut kv_frac = 0.0f64;
-                        for &k in &up {
-                            queued += cores[k].queued();
-                            outstanding += cores[k].outstanding_at(now);
-                            kv_frac = kv_frac.max(cores[k].kv_frac());
-                        }
-                        let pending =
-                            members[g].iter().filter(|&&k| booting[k]).count() as u64;
-                        let drains =
-                            members[g].iter().filter(|&&k| draining[k] && live[k]).count();
-                        let (delivered, slo_ok) = since_tick[g];
-                        GroupObservation {
-                            up: up.len() as u64,
-                            pending,
-                            draining: drains as u64,
-                            queued,
-                            outstanding,
-                            kv_frac,
-                            delivered,
-                            slo_ok,
-                        }
-                    })
-                    .collect();
-                since_tick = vec![(0, 0); ngroups];
-                if let Some(tr) = &trace {
-                    let mut rec = tr.rec.borrow_mut();
-                    for (g, o) in obs.iter().enumerate() {
-                        rec.sample(tr.gseries[g][0], now.get(), o.queued as f64);
-                        rec.sample(tr.gseries[g][1], now.get(), o.outstanding as f64);
-                    }
-                }
-                for decision in reconciler.reconcile(now, &obs) {
-                    match decision {
-                        ScalingDecision::Add { group } => {
-                            if let Some(k) = boot_slot(&members, &health, &draining, group) {
-                                apply_boot(
-                                    k, group, now, action::SCALE_UP, &mut health,
-                                    now + autoscale.provision, &mut booting, &mut held,
-                                    &mut ramps, &mut stats, &replicas[group].name,
-                                    &slots[k].spec.name,
-                                );
-                                stats.scale_ups += 1;
-                                held_now += 1;
-                                if let Some(tr) = &trace {
-                                    tr.rec.borrow_mut().instant(
-                                        tr.tracks[k],
-                                        EventKind::ScaleUp,
-                                        0,
-                                        now.get(),
-                                    );
-                                }
-                            }
-                        }
-                        ScalingDecision::Drain { group } => {
-                            if let Some(k) = drain_victim(&health, &draining, &members, group) {
-                                let emptied = routable(&health, &draining, group).len() == 1;
-                                let kind = if emptied {
-                                    stats.scale_to_zero += 1;
-                                    action::SCALE_TO_ZERO
-                                } else {
-                                    action::SCALE_DOWN
-                                };
-                                stats.scale_downs += 1;
-                                stats.actions.push(ScalingAction::new(
-                                    now.get(),
-                                    kind,
-                                    &replicas[group].name,
-                                    slots[k].spec.name.clone(),
-                                ));
-                                if let Some(tr) = &trace {
-                                    let ek = if emptied {
-                                        EventKind::ScaleToZero
-                                    } else {
-                                        EventKind::ScaleDown
-                                    };
-                                    tr.rec.borrow_mut().instant(tr.tracks[k], ek, 0, now.get());
-                                }
-                                begin_drain(k, &mut cores, &mut draining, &mut step_heap);
-                            }
-                        }
-                        ScalingDecision::Swap { from, to } => {
-                            let victim = drain_victim(&health, &draining, &members, from);
-                            let target = boot_slot(&members, &health, &draining, to);
-                            if let (Some(v), Some(t)) = (victim, target) {
-                                stats.swaps += 1;
-                                stats.actions.push(ScalingAction::new(
-                                    now.get(),
-                                    action::SWAP_OUT,
-                                    &replicas[from].name,
-                                    slots[v].spec.name.clone(),
-                                ));
-                                begin_drain(v, &mut cores, &mut draining, &mut step_heap);
-                                // The swapped-in slot skips provisioning
-                                // (the machine is already racked) and pays
-                                // only warmup.
-                                apply_boot(
-                                    t, to, now, action::SWAP_IN, &mut health, now,
-                                    &mut booting, &mut held, &mut ramps, &mut stats,
-                                    &replicas[to].name, &slots[t].spec.name,
-                                );
-                                held_now += 1;
-                                if let Some(tr) = &trace {
-                                    let mut rec = tr.rec.borrow_mut();
-                                    rec.instant(tr.tracks[v], EventKind::SwapOut, 0, now.get());
-                                    rec.instant(tr.tracks[t], EventKind::SwapIn, 0, now.get());
-                                }
-                            }
-                        }
-                    }
-                }
-                stats.peak_replicas = stats.peak_replicas.max(held_now);
-                // A drained core with no in-flight work retires at once.
-                held_now -= retire_idle(
-                    now, &mut cores, &mut health, &mut live, &mut draining, &mut held,
-                    &mut accum, &mut step_heap, &slots, replicas, &mut stats, offline_until,
-                    tenancy.as_mut(), trace.as_ref(),
-                );
-            }
-            // Arrival: hash the session onto its group, route or park.
-            2 => {
-                let r = stream.pop();
-                origin.insert(r.id, r.arrival_s);
-                if let Some(tr) = &trace {
-                    // Emitted by the driver: a parked arrival may wait a
-                    // long time before any core sees it.
-                    tr.rec.borrow_mut().request_arrival_for(
-                        tr.control,
-                        r.id,
-                        r.arrival_s,
-                        tenant_tag(&tenancy, r.id),
-                    );
-                }
-                if stream.exhausted() {
-                    exhausted_closed = true;
-                    for (k, core) in cores.iter_mut().enumerate() {
-                        if live[k] {
-                            core.close();
-                            step_heap.set(k, core.next_action());
-                        }
-                    }
-                }
-                let g = (splitmix64(r.session) % ngroups as u64) as usize;
-                let up = routable(&health, &draining, g);
-                if up.is_empty() {
-                    // Scaled to zero (or drained dry): park until the
-                    // reconciler wakes the group. The original arrival is
-                    // preserved, so the wake-up wait lands in the
-                    // request's latency.
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().instant_for(
-                            tr.control,
-                            EventKind::Park,
-                            r.id,
-                            now.get(),
-                            tenant_tag(&tenancy, r.id),
-                        );
-                    }
-                    parked[g].push(r);
-                } else {
-                    let snaps = group_snapshots(&cores, &up, now, &assigned, classed);
-                    let pos = routers[g].route(&r, &snaps).min(up.len() - 1);
-                    push_to!(up[pos], r);
-                }
-            }
-            // Engine step: completions deliver immediately (no crashes can
-            // revoke them), and a dry draining slot retires.
-            _ => {
-                let (k, _) = step_at
-                    .ok_or_else(|| Error::internal("class 3 implies a steppable core"))?;
-                cores[k].step()?;
-                step_heap.set(k, cores[k].next_action());
-                let g = slots[k].group;
-                for &c in cores[k].drain_new() {
-                    let mut c = c;
-                    if let Some(orig) = origin.get(&c.id) {
-                        c.arrival = Seconds::new(*orig);
-                    }
-                    stream.on_complete(&c);
-                    delivered_by[k] += 1;
-                    since_tick[g].0 += 1;
-                    let ok = slo_ms.is_none_or(|slo| c.latency().as_millis() <= slo);
-                    if ok {
-                        since_tick[g].1 += 1;
-                    } else if in_ramp(&ramps, g, c.finish.get()) {
-                        stats.slo_violations_ramp += 1;
-                    }
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().complete_for(
-                            tr.tracks[k],
-                            c.id,
-                            c.finish.get(),
-                            c.latency().as_millis(),
-                            c.ttft().as_millis(),
-                            tenant_tag(&tenancy, c.id),
-                        );
-                    }
-                    delivered.push(c);
-                }
-                if draining[k] {
-                    held_now -= retire_idle(
-                        now, &mut cores, &mut health, &mut live, &mut draining, &mut held,
-                        &mut accum, &mut step_heap, &slots, replicas, &mut stats,
-                        offline_until, tenancy.as_mut(), trace.as_ref(),
-                    );
-                }
-            }
-        }
-    }
-
-    // ---- harvest and report -------------------------------------------
-    for (k, core) in cores.iter().enumerate() {
-        if live[k] {
-            accum[k].harvest(core);
-            if let Some(t) = tenancy.as_mut() {
-                if let Some(p) = core.tenant_preemptions() {
-                    t.ledger.absorb_preemptions(p);
-                }
-            }
-        }
-    }
-    delivered.sort_by_key(|c| c.id);
-    debug_assert_eq!(delivered.len() as u64, offered, "elastic runs never shed");
-
-    let finish = delivered.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
-    let first_arrival = delivered.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-    let mut chip_energy = Joules::ZERO;
-    let mut preemptions = 0;
-    let mut queue_full_s = 0.0;
-    let mut prefix = PrefixStats::default();
-    let mut rows = Vec::new();
-    let mut busy_chip_s = 0.0;
-    for (k, slot) in slots.iter().enumerate() {
-        // Chip-seconds: held intervals clipped to the makespan, so the
-        // elastic number is directly comparable with a static fleet's
-        // `chips × makespan`.
-        let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
-        for iv in &held[k] {
-            let end = clip(iv.end.unwrap_or(finish.get()));
-            stats.chip_seconds += slot.spec.chips() as f64 * (end - clip(iv.start)).max(0.0);
-        }
-        if held[k].is_empty() {
-            continue; // the slot never ran: no report row
-        }
-        let a = &accum[k];
-        chip_energy += Joules::new(a.energy_j);
-        preemptions += a.preemptions;
-        queue_full_s += a.queue_full_s;
-        prefix.absorb(&a.prefix);
-        busy_chip_s += a.busy_s * slot.spec.chips() as f64;
-        rows.push(ReplicaUtilization {
-            name: slot.spec.name.clone(),
-            model: slot.spec.model.name().to_owned(),
-            role: "serve".to_owned(),
-            chips: slot.spec.chips(),
-            requests: delivered_by[k],
-            busy_s: a.busy_s,
-            utilization: 0.0, // filled against the fleet makespan
-            energy_j: a.energy_j,
-            kv_hwm_frac: a.kv_hwm,
-        });
-    }
-    stats.idle_energy_j = autoscale.idle_watts * (stats.chip_seconds - busy_chip_s).max(0.0);
-    stats.total_cost_j = chip_energy.get() + stats.idle_energy_j;
-
-    let mut report = ClusterReport::build(
-        label,
-        "colocated",
-        policy.name().to_owned(),
-        offered,
-        &delivered,
-        chip_energy,
-        preemptions,
-        queue_full_s,
-        KvTransferStats::default(),
-        rows,
-        slo_ms,
-        None,
-    );
-    report.scaling = Some(stats);
-    if let Some(t) = tenancy {
-        report.tenants = Some(t.ledger.report(&delivered, report.makespan_s));
-    }
-    for session in &sessions {
-        session.persist_cache();
-    }
-    // Per-slot ServingReports are not meaningful across boots/retires:
-    // elastic runs report the fleet aggregate only.
-    Ok(ClusterRun { report, replica_reports: Vec::new(), completions: delivered, prefix })
-}
-
-/// Router snapshots over one group's routable slots, re-indexed
-/// `0..up.len()` so index-returning and positional routers agree.
-fn group_snapshots(
-    cores: &[EngineCore<'_>],
-    up: &[usize],
-    t: Seconds,
-    assigned: &[u64],
-    classed: bool,
-) -> Vec<ReplicaSnapshot> {
-    up.iter()
-        .enumerate()
-        .map(|(pos, &k)| ReplicaSnapshot {
-            index: pos,
-            outstanding: cores[k].outstanding_at(t),
-            queued: cores[k].queued(),
-            kv_frac: cores[k].kv_frac(),
-            assigned: assigned[k],
-            class_outstanding: if classed {
-                cores[k].outstanding_by_class_at(t)
-            } else {
-                [0; 3]
-            },
-        })
-        .collect()
-}
-
-/// The lowest offline slot of `group` (free to boot), if any: a group at
-/// its physical slot limit (every slot up, booting, or still draining)
-/// skips the decision until a drain finishes.
-fn boot_slot(
-    members: &[Vec<usize>],
-    health: &HealthView,
-    draining: &[bool],
-    group: usize,
-) -> Option<usize> {
-    members[group]
-        .iter()
-        .copied()
-        .find(|&k| !draining[k] && matches!(health.state(k), ReplicaHealth::Down { until } if !until.get().is_finite()))
-}
-
-/// Marks slot `k` booting: provisioning completes at `ready` (equal to
-/// `now` for a swap-in, which skips the provisioning delay), warmup
-/// follows, and the slot is held — costing chip-seconds — from this
-/// instant.
-#[allow(clippy::too_many_arguments)] // one call site per decision kind
-fn apply_boot(
-    k: usize,
-    group: usize,
-    now: Seconds,
-    kind: &str,
-    health: &mut HealthView,
-    ready: Seconds,
-    booting: &mut [bool],
-    held: &mut [Vec<HeldInterval>],
-    ramps: &mut Vec<RampWindow>,
-    stats: &mut ScalingStats,
-    group_name: &str,
-    slot_name: &str,
-) {
-    health.mark_down(k, ready);
-    booting[k] = true;
-    held[k].push(HeldInterval { start: now.get(), end: None });
-    ramps.push(RampWindow { group, start: now.get(), end: None });
-    stats.actions.push(ScalingAction::new(now.get(), kind, group_name, slot_name.to_owned()));
-}
-
-/// The drain victim for `group`: its highest routable slot (retire the
-/// newest capacity first).
-fn drain_victim(
-    health: &HealthView,
-    draining: &[bool],
-    members: &[Vec<usize>],
-    group: usize,
-) -> Option<usize> {
-    members[group].iter().rev().copied().find(|&k| health.is_up(k) && !draining[k])
-}
-
-/// Closes slot `k`'s core so it stops taking work and runs its in-flight
-/// requests to completion.
-fn begin_drain(
-    k: usize,
-    cores: &mut [EngineCore<'_>],
-    draining: &mut [bool],
-    step_heap: &mut ActionHeap,
-) {
-    draining[k] = true;
-    cores[k].close();
-    step_heap.set(k, cores[k].next_action());
-}
-
-/// Retires every draining slot whose core has gone dry (no scheduled
-/// action, nothing queued): harvests its counters, ends its held
-/// interval, and takes it offline. Returns how many slots retired.
-#[allow(clippy::too_many_arguments)] // the whole driver state participates
-fn retire_idle(
-    now: Seconds,
-    cores: &mut [EngineCore<'_>],
-    health: &mut HealthView,
-    live: &mut [bool],
-    draining: &mut [bool],
-    held: &mut [Vec<HeldInterval>],
-    accum: &mut [ReplicaAccum],
-    step_heap: &mut ActionHeap,
-    slots: &[Slot],
-    replicas: &[ReplicaSpec],
-    stats: &mut ScalingStats,
-    offline_until: Seconds,
-    mut tenancy: Option<&mut Tenancy<'_>>,
-    trace: Option<&ElasticTrace>,
-) -> u64 {
-    let mut retired = 0;
-    for k in 0..cores.len() {
-        if !(draining[k] && live[k]) {
-            continue;
-        }
-        if cores[k].next_action().is_some() || cores[k].queued() > 0 {
-            continue;
-        }
-        // Harvested now: a later boot replaces this core, so its ledgers
-        // (including per-tenant preemption counters) are read here or lost.
-        accum[k].harvest(&cores[k]);
-        if let Some(t) = tenancy.as_deref_mut() {
-            if let Some(p) = cores[k].tenant_preemptions() {
-                t.ledger.absorb_preemptions(p);
-            }
-        }
-        live[k] = false;
-        draining[k] = false;
-        health.mark_down(k, offline_until);
-        step_heap.set(k, None);
-        if let Some(iv) = held[k].last_mut() {
-            iv.end = Some(now.get());
-        }
-        stats.actions.push(ScalingAction::new(
+    /// Marks slot `k` booting (the caller schedules its provisioning end
+    /// in the health view; warmup follows): the slot is held — costing
+    /// chip-seconds — from this instant.
+    fn boot(&mut self, k: usize, now: Seconds, kind: &str, slot: &str) {
+        let group = self.group_of[k];
+        self.booting[k] = true;
+        self.held[k].push(HeldInterval { start: now.get(), end: None });
+        self.ramps.push(RampWindow { group, start: now.get(), end: None });
+        self.stats.actions.push(ScalingAction::new(
             now.get(),
-            action::RETIRED,
-            &replicas[slots[k].group].name,
-            slots[k].spec.name.clone(),
+            kind,
+            &self.names[group],
+            slot.to_owned(),
         ));
-        if let Some(tr) = trace {
-            tr.rec.borrow_mut().instant(tr.tracks[k], EventKind::Retired, 0, now.get());
-        }
-        retired += 1;
+        self.held_now += 1;
     }
-    retired
+
+    /// The scaling section: held intervals clipped to the makespan priced
+    /// in chip-seconds (directly comparable with a static fleet's
+    /// `chips × makespan`), plus idle energy.
+    pub(crate) fn finish(mut self, specs: &[ReplicaSpec], ledger: &Ledger) -> ScalingStats {
+        let delivered = &ledger.delivered;
+        let finish = delivered.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
+        let first_arrival = delivered.iter().map(|c| c.arrival).fold(finish, Seconds::min);
+        let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
+        let mut chip_energy = Joules::ZERO;
+        let mut busy_chip_s = 0.0;
+        for (k, spec) in specs.iter().enumerate() {
+            for iv in &self.held[k] {
+                let end = clip(iv.end.unwrap_or(finish.get()));
+                self.stats.chip_seconds += spec.chips() as f64 * (end - clip(iv.start)).max(0.0);
+            }
+            if self.held(k) {
+                let a = &ledger.accum[k];
+                chip_energy += Joules::new(a.energy_j);
+                busy_chip_s += a.busy_s * spec.chips() as f64;
+            }
+        }
+        let idle_watts = self.reconciler.policy().idle_watts;
+        self.stats.idle_energy_j = idle_watts * (self.stats.chip_seconds - busy_chip_s).max(0.0);
+        self.stats.total_cost_j = chip_energy.get() + self.stats.idle_energy_j;
+        self.stats
+    }
 }
 
-/// Whether `finish` lands inside any capacity ramp of `group` (an open
-/// ramp extends to the end of the run).
-fn in_ramp(ramps: &[RampWindow], group: usize, finish: f64) -> bool {
-    ramps.iter().any(|w| {
-        w.group == group && finish >= w.start && w.end.is_none_or(|e| finish <= e)
-    })
+impl Fleet<'_, '_> {
+    /// Emits a fleet event on slot `k`'s track.
+    fn slot_event(&self, k: usize, kind: EventKind, now: Seconds) {
+        if let Some(tr) = &self.trace {
+            tr.rec.borrow_mut().instant(tr.tracks[k], kind, 0, now.get());
+        }
+    }
+
+    /// Lifecycle: booted slots whose warmup ended turn `Up`, and their
+    /// group's parked arrivals are routed.
+    pub(crate) fn wake(&mut self, now: Seconds) {
+        let Some(mut el) = self.elastic.take() else { return };
+        let mut woken = Vec::new();
+        for (g, pool) in self.pools.iter().enumerate() {
+            let mut woke = false;
+            for &k in pool {
+                if !(el.booting[k] && self.health.is_up(k)) {
+                    continue;
+                }
+                el.booting[k] = false;
+                woke = true;
+                // Service cannot start before the slot exists.
+                self.last_push[k] = now.get();
+                let (gname, name) = (&el.names[g], self.specs[k].name.clone());
+                el.stats.actions.push(ScalingAction::new(now.get(), action::UP, gname, name));
+                if let Some(ramp) = el.ramps.iter_mut().find(|w| w.group == g && w.end.is_none()) {
+                    ramp.end = Some(now.get());
+                }
+                self.slot_event(k, EventKind::Up, now);
+            }
+            if woke && !el.parked[g].is_empty() {
+                woken.push((g, std::mem::take(&mut el.parked[g])));
+            }
+        }
+        self.elastic = Some(el);
+        for (g, parked) in woken {
+            self.sync_tracker(now);
+            for r in parked {
+                let all = self.gather(g);
+                let k = self.pick(g, all, &r);
+                self.push_to(k, r, r.arrival_s);
+            }
+        }
+    }
+
+    /// The reconcile tick: observe every group, decide, apply.
+    pub(crate) fn reconcile(&mut self, now: Seconds) {
+        let Some(mut el) = self.elastic.take() else { return };
+        let obs: Vec<GroupObservation> = (0..self.pools.len())
+            .map(|g| {
+                let pool = &self.pools[g];
+                let mut o = GroupObservation {
+                    up: 0,
+                    pending: pool.iter().filter(|&&k| el.booting[k]).count() as u64,
+                    draining: pool.iter().filter(|&&k| self.draining[k] && self.live[k]).count()
+                        as u64,
+                    queued: el.parked[g].len() as u64,
+                    outstanding: 0,
+                    kv_frac: 0.0,
+                    delivered: el.since_tick[g].0,
+                    slo_ok: el.since_tick[g].1,
+                };
+                for k in self.routable(g) {
+                    o.up += 1;
+                    o.queued += self.cores[k].queued();
+                    o.outstanding += self.cores[k].outstanding_at(now);
+                    o.kv_frac = o.kv_frac.max(self.cores[k].kv_frac());
+                }
+                o
+            })
+            .collect();
+        let policy = el.reconciler.policy().clone();
+        el.next_tick += policy.interval;
+        el.stats.reconciles += 1;
+        el.since_tick.iter_mut().for_each(|s| *s = (0, 0));
+        if let Some((tr, control)) = self.control() {
+            let mut rec = tr.rec.borrow_mut();
+            rec.instant(control, EventKind::Reconcile, el.stats.reconciles, now.get());
+            for (g, o) in obs.iter().enumerate() {
+                rec.sample(el.gseries[g][0], now.get(), o.queued as f64);
+                rec.sample(el.gseries[g][1], now.get(), o.outstanding as f64);
+            }
+        }
+        for decision in el.reconciler.reconcile(now, &obs) {
+            match decision {
+                ScalingDecision::Add { group } => {
+                    if let Some(k) = self.boot_slot(group) {
+                        self.health.mark_down(k, now + policy.provision);
+                        el.boot(k, now, action::SCALE_UP, &self.specs[k].name);
+                        el.stats.scale_ups += 1;
+                        self.slot_event(k, EventKind::ScaleUp, now);
+                    }
+                }
+                ScalingDecision::Drain { group } => {
+                    if let Some(k) = self.routable(group).last() {
+                        let (kind, event) = if self.routable(group).count() == 1 {
+                            el.stats.scale_to_zero += 1;
+                            (action::SCALE_TO_ZERO, EventKind::ScaleToZero)
+                        } else {
+                            (action::SCALE_DOWN, EventKind::ScaleDown)
+                        };
+                        el.stats.scale_downs += 1;
+                        let (gname, name) = (&el.names[group], self.specs[k].name.clone());
+                        el.stats.actions.push(ScalingAction::new(now.get(), kind, gname, name));
+                        self.slot_event(k, event, now);
+                        self.begin_drain(k);
+                    }
+                }
+                ScalingDecision::Swap { from, to } => {
+                    if let (Some(v), Some(t)) = (self.routable(from).last(), self.boot_slot(to)) {
+                        el.stats.swaps += 1;
+                        let name = self.specs[v].name.clone();
+                        el.stats.actions.push(ScalingAction::new(
+                            now.get(),
+                            action::SWAP_OUT,
+                            &el.names[from],
+                            name,
+                        ));
+                        self.begin_drain(v);
+                        // The swapped-in slot skips provisioning (the
+                        // machine is already racked) and pays only warmup.
+                        self.health.mark_down(t, now);
+                        el.boot(t, now, action::SWAP_IN, &self.specs[t].name);
+                        self.slot_event(v, EventKind::SwapOut, now);
+                        self.slot_event(t, EventKind::SwapIn, now);
+                    }
+                }
+            }
+        }
+        el.stats.peak_replicas = el.stats.peak_replicas.max(el.held_now);
+        self.elastic = Some(el);
+        // A drained core with no in-flight work retires at once.
+        self.retire_idle(now);
+    }
+
+    /// The lowest offline slot of `group` (free to boot), if any: a group
+    /// at its physical slot limit (every slot up, booting, or still
+    /// draining) skips the decision until a drain finishes. The highest
+    /// routable slot, `routable(group).last()`, is the drain victim
+    /// (retire the newest capacity first).
+    fn boot_slot(&self, group: usize) -> Option<usize> {
+        self.pools[group].iter().copied().find(|&k| {
+            !self.draining[k]
+                && matches!(
+                    self.health.state(k),
+                    ReplicaHealth::Down { until } if !until.get().is_finite()
+                )
+        })
+    }
+
+    /// Closes slot `k`'s core so it stops taking work and runs its
+    /// in-flight requests to completion.
+    fn begin_drain(&mut self, k: usize) {
+        self.draining[k] = true;
+        self.cores[k].close();
+        self.heap.set(k, self.cores[k].next_action());
+    }
+
+    /// Retires every draining slot whose core has gone dry (no scheduled
+    /// action, nothing queued): harvests its counters, ends its held
+    /// interval, and takes it offline.
+    pub(crate) fn retire_idle(&mut self, now: Seconds) {
+        let Some(mut el) = self.elastic.take() else { return };
+        for k in 0..self.cores.len() {
+            if !(self.draining[k] && self.live[k])
+                || self.cores[k].next_action().is_some()
+                || self.cores[k].queued() > 0
+            {
+                continue;
+            }
+            // Harvested now: a later boot replaces this core, so its
+            // ledgers (including per-tenant preemption counters) are read
+            // here or lost.
+            self.retire_core(k);
+            self.health.mark_down(k, Seconds::new(f64::INFINITY));
+            self.draining[k] = false;
+            el.held_now -= 1;
+            if let Some(iv) = el.held[k].last_mut() {
+                iv.end = Some(now.get());
+            }
+            let name = self.specs[k].name.clone();
+            let group = &el.names[el.group_of[k]];
+            el.stats.actions.push(ScalingAction::new(now.get(), action::RETIRED, group, name));
+            self.slot_event(k, EventKind::Retired, now);
+        }
+        self.elastic = Some(el);
+    }
 }

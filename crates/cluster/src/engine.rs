@@ -1,24 +1,18 @@
 //! The fleet engine: topology + router + traffic → [`ClusterRun`].
 
-use std::collections::HashMap;
-use std::rc::Rc;
-
-use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
-use cimtpu_serving::{
-    drive_with, ActionHeap, ArrivalStream, Completion, DriveHooks, EngineCore, EngineSession,
-    PrefixStats, Request, ServingReport, TenantLedger, TenantSched, TenantSet, TrafficSpec,
-};
 use cimtpu_autoscale::{AutoscalePolicy, ScalingStats};
-use cimtpu_units::{Error, Joules, Result, Seconds};
+use cimtpu_obs::SharedRecorder;
+use cimtpu_serving::{
+    ArrivalStream, Completion, ServingReport, TenantLedger, TenantSched, TenantSet, TrafficSpec,
+};
+use cimtpu_units::{Error, Result, Seconds};
 
 use crate::disagg::{run_disaggregated, InterconnectSpec};
-use crate::elastic::run_colocated_elastic;
-use crate::fault::{AvailabilityStats, FaultEvent, FaultPlan};
+use crate::fault::FaultPlan;
+use crate::fleet::run_colocated;
 use crate::replica::ReplicaSpec;
-use crate::report::{ClusterReport, KvTransferStats, ReplicaUtilization};
-use crate::router::{
-    HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy, SnapshotTracker,
-};
+use crate::report::ClusterReport;
+use crate::router::RouterPolicy;
 
 /// How the fleet's replicas divide the serving pipeline.
 #[derive(Debug, Clone)]
@@ -176,11 +170,11 @@ impl ClusterEngine {
         self
     }
 
-    /// Installs a fault plan. An **empty** plan (the default) takes the
-    /// exact zero-fault code path — runs stay bit-identical to an engine
-    /// without any plan; a non-empty plan switches to the failure-aware
-    /// driver (replica health view, retries, shedding) and the report
-    /// grows an availability section.
+    /// Installs a fault plan. An **empty** plan (the default) injects
+    /// nothing — runs stay bit-identical to an engine without any plan;
+    /// a non-empty plan adds its fault events to the fleet loop (replica
+    /// health view, retries, shedding) and the report grows an
+    /// availability section.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -197,13 +191,13 @@ impl ClusterEngine {
     /// named `{name}-{slot}` that a reconcile loop grows and shrinks
     /// against the policy's utilization band.
     ///
-    /// A **pinned** policy (every band `min == max`, no swaps) keeps the
-    /// plain fleet code paths: the fleet is expanded to its pinned sizes
-    /// and dispatched to the non-elastic drivers bit-identically — the
-    /// report just gains a `scaling` section pricing the static fleet.
-    /// An *elastic* policy switches a colocated fleet to the autoscaled
-    /// driver; elastic disaggregated fleets and elastic runs under a
-    /// fault plan are rejected by [`run`](ClusterEngine::run).
+    /// A **pinned** policy (every band `min == max`, no swaps) expands
+    /// the fleet to its pinned sizes and runs it as a static fleet,
+    /// bit-identically — the report just gains a `scaling` section
+    /// pricing the static fleet. An *elastic* policy adds reconcile ticks
+    /// and elastic slots to a colocated fleet's loop; elastic
+    /// disaggregated fleets and elastic runs under a fault plan are
+    /// rejected by [`run`](ClusterEngine::run).
     ///
     /// [`GroupPolicy`]: cimtpu_autoscale::GroupPolicy
     #[must_use]
@@ -235,7 +229,7 @@ impl ClusterEngine {
     }
 
     /// [`run`](Self::run) with an optional flight recorder threaded
-    /// through whichever driver the topology dispatches to: replicas get
+    /// through the fleet's driver: replicas get
     /// one track each, control-plane events (crashes, retries, scaling
     /// actions, reconcile ticks) land on a control track, and queue/KV
     /// gauges stream into the recorder's timeseries. `None` is exactly
@@ -300,26 +294,25 @@ impl ClusterEngine {
         tenancy: Option<Tenancy<'_>>,
         recorder: Option<&SharedRecorder>,
     ) -> Result<ClusterRun> {
-        if let Some(policy) = &self.autoscale {
-            return self.run_autoscaled(policy, label, traffic, tenancy, recorder);
+        let elastic = match &self.autoscale {
+            Some(policy) => self.elastic_policy(policy)?,
+            None => None,
+        };
+        if let Some(policy) = self.autoscale.as_ref().filter(|_| elastic.is_none()) {
+            return self.run_pinned(policy, label, traffic, tenancy, recorder);
         }
         match &self.topology {
-            ClusterTopology::Colocated { replicas, router } => {
-                if self.faults.is_empty() {
-                    run_colocated(replicas, *router, label, traffic, self.slo_ms, tenancy, recorder)
-                } else {
-                    run_colocated_faulty(
-                        replicas,
-                        *router,
-                        label,
-                        traffic,
-                        self.slo_ms,
-                        &self.faults,
-                        tenancy,
-                        recorder,
-                    )
-                }
-            }
+            ClusterTopology::Colocated { replicas, router } => run_colocated(
+                replicas,
+                *router,
+                label,
+                traffic,
+                self.slo_ms,
+                &self.faults,
+                elastic,
+                tenancy,
+                recorder,
+            ),
             ClusterTopology::Disaggregated {
                 prefill,
                 decode,
@@ -342,17 +335,13 @@ impl ClusterEngine {
         }
     }
 
-    /// Dispatch under an autoscale policy: pinned policies expand the
-    /// fleet and reuse the plain drivers unchanged (bit-identity is
-    /// proptested); elastic policies take the reconcile-loop driver.
-    fn run_autoscaled(
+    /// Validates an autoscale policy against the fleet: `None` for a
+    /// pinned policy, the policy itself for an elastic one (colocated
+    /// fleets without a fault plan only).
+    fn elastic_policy<'p>(
         &self,
-        policy: &AutoscalePolicy,
-        label: &str,
-        traffic: &TrafficSpec,
-        tenancy: Option<Tenancy<'_>>,
-        recorder: Option<&SharedRecorder>,
-    ) -> Result<ClusterRun> {
+        policy: &'p AutoscalePolicy,
+    ) -> Result<Option<&'p AutoscalePolicy>> {
         policy.validate()?;
         let ngroups = match &self.topology {
             ClusterTopology::Colocated { replicas, .. } => replicas.len(),
@@ -367,70 +356,10 @@ impl ClusterEngine {
             )));
         }
         if policy.is_pinned() {
-            // Expand every group to its pinned size and run the plain
-            // (non-elastic) drivers unchanged; the report just gains a
-            // `scaling` section pricing the static fleet.
-            let expand = |specs: &[ReplicaSpec], offset: usize| -> Vec<ReplicaSpec> {
-                specs
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(g, base)| {
-                        (0..policy.groups[offset + g].min).map(move |j| {
-                            let mut spec = base.clone();
-                            spec.name = format!("{}-{j}", base.name);
-                            spec
-                        })
-                    })
-                    .collect()
-            };
-            let topology = match &self.topology {
-                ClusterTopology::Colocated { replicas, router } => ClusterTopology::Colocated {
-                    replicas: expand(replicas, 0),
-                    router: *router,
-                },
-                ClusterTopology::Disaggregated {
-                    prefill,
-                    decode,
-                    router,
-                    decode_router,
-                    interconnect,
-                } => ClusterTopology::Disaggregated {
-                    prefill: expand(prefill, 0),
-                    decode: expand(decode, prefill.len()),
-                    router: *router,
-                    decode_router: *decode_router,
-                    interconnect: *interconnect,
-                },
-            };
-            let pinned = ClusterEngine {
-                topology,
-                slo_ms: self.slo_ms,
-                faults: self.faults.clone(),
-                autoscale: None,
-            };
-            let mut run = pinned.dispatch(label, traffic, tenancy, recorder)?;
-            let chip_seconds = run.report.chips as f64 * run.report.makespan_s;
-            let busy_chip_s: f64 = run
-                .report
-                .per_replica
-                .iter()
-                .map(|r| r.busy_s * r.chips as f64)
-                .sum();
-            run.report.scaling = Some(ScalingStats::static_fleet(
-                run.report.replicas,
-                chip_seconds,
-                busy_chip_s,
-                run.report.total_energy_j,
-                policy.idle_watts,
-            ));
-            return Ok(run);
+            return Ok(None);
         }
         match &self.topology {
-            ClusterTopology::Colocated { replicas, router } if self.faults.is_empty() => {
-                run_colocated_elastic(
-                    replicas, *router, label, traffic, self.slo_ms, policy, tenancy, recorder,
-                )
-            }
+            ClusterTopology::Colocated { .. } if self.faults.is_empty() => Ok(Some(policy)),
             ClusterTopology::Colocated { .. } => Err(Error::invalid_config(
                 "an elastic autoscale policy cannot run under a fault plan; pin the \
                  policy (min == max, no swap) or drop the faults",
@@ -441,305 +370,73 @@ impl ClusterEngine {
             )),
         }
     }
-}
 
-/// [`DriveHooks`] for the zero-fault colocated fleet: routes each
-/// arrival over a [`SnapshotTracker`]'s incrementally-maintained fleet
-/// view instead of rebuilding every [`ReplicaSnapshot`] — with its
-/// `O(completions)` `outstanding_at` scan per replica — at every
-/// arrival. The tracker-vs-rebuild equivalence is proptested in this
-/// module's tests.
-struct ColocatedHooks {
-    router: Box<dyn Router>,
-    tracker: SnapshotTracker,
-    /// Multi-tenant run: refresh per-class outstanding splits before every
-    /// routing decision (the `SloAware` policy reads them). Off for
-    /// single-tenant runs, preserving the tracker's `O(1)`-per-event path.
-    classed: bool,
-    /// Recorder + per-replica `[queued, kv_frac]` gauge series, when the
-    /// run is observed.
-    gauges: Option<(SharedRecorder, Vec<[usize; 2]>)>,
-}
-
-impl DriveHooks for ColocatedHooks {
-    fn route(&mut self, request: &Request, cores: &[EngineCore<'_>]) -> usize {
-        let t = request.arrival();
-        if t < self.tracker.now() {
-            // A stall flush launched work in the past and re-armed a
-            // closed-loop client below the tracker's clock: rebuild.
-            self.tracker.resync(t, cores);
-        } else {
-            self.tracker.advance_to(t);
-        }
-        if self.classed {
-            self.tracker.refresh_classes(cores);
-        }
-        self.router.route(request, self.tracker.snapshots())
-    }
-
-    fn on_push(&mut self, k: usize, cores: &[EngineCore<'_>]) {
-        self.tracker.on_push(k, cores[k].queued());
-    }
-
-    fn on_step(&mut self, k: usize, cores: &[EngineCore<'_>], new: &[Completion]) {
-        self.tracker.on_step(k, cores[k].queued(), cores[k].kv_frac(), new);
-        if let Some((rec, series)) = &self.gauges {
-            let t = new
+    /// A pinned policy expands every group to its pinned size and runs
+    /// the static fleet unchanged (bit-identity is proptested); the
+    /// report just gains a `scaling` section pricing the static fleet.
+    fn run_pinned(
+        &self,
+        policy: &AutoscalePolicy,
+        label: &str,
+        traffic: &TrafficSpec,
+        tenancy: Option<Tenancy<'_>>,
+        recorder: Option<&SharedRecorder>,
+    ) -> Result<ClusterRun> {
+        let expand = |specs: &[ReplicaSpec], offset: usize| -> Vec<ReplicaSpec> {
+            specs
                 .iter()
-                .map(|c| c.finish.get())
-                .fold(self.tracker.now().get(), f64::max);
-            let mut rec = rec.borrow_mut();
-            rec.sample(series[k][0], t, cores[k].queued() as f64);
-            rec.sample(series[k][1], t, cores[k].kv_frac());
-        }
-    }
-}
-
-/// Registers one track per replica (named after the spec), attaches a
-/// [`TraceHandle`] to each core, and returns the track ids plus one
-/// `[queued, kv_frac]` gauge-series pair per replica.
-fn attach_replica_tracks(
-    rec: &SharedRecorder,
-    specs: &[ReplicaSpec],
-    cores: &mut [EngineCore<'_>],
-) -> (Vec<u32>, Vec<[usize; 2]>) {
-    let mut tracks = Vec::with_capacity(specs.len());
-    let mut series = Vec::with_capacity(specs.len());
-    {
-        let mut r = rec.borrow_mut();
-        for spec in specs {
-            tracks.push(r.track(&spec.name));
-            series.push([
-                r.gauge_series(&format!("{}/queued", spec.name)),
-                r.gauge_series(&format!("{}/kv_frac", spec.name)),
-            ]);
-        }
-    }
-    for (core, &track) in cores.iter_mut().zip(&tracks) {
-        core.attach_trace(TraceHandle::new(Rc::clone(rec), track));
-    }
-    (tracks, series)
-}
-
-/// Everything the failure-aware drivers need to emit: the shared
-/// recorder, one track and one `[queued, kv_frac]` gauge pair per
-/// replica, and a control track for fleet-level events (arrivals,
-/// retries, sheds, reconcile ticks).
-struct FleetTrace {
-    rec: SharedRecorder,
-    tracks: Vec<u32>,
-    series: Vec<[usize; 2]>,
-    control: u32,
-}
-
-impl FleetTrace {
-    fn attach(
-        rec: &SharedRecorder,
-        specs: &[ReplicaSpec],
-        cores: &mut [EngineCore<'_>],
-    ) -> FleetTrace {
-        let (tracks, series) = attach_replica_tracks(rec, specs, cores);
-        let control = rec.borrow_mut().track("control");
-        FleetTrace { rec: Rc::clone(rec), tracks, series, control }
-    }
-}
-
-fn run_colocated(
-    replicas: &[ReplicaSpec],
-    policy: RouterPolicy,
-    label: &str,
-    traffic: &TrafficSpec,
-    slo_ms: Option<f64>,
-    mut tenancy: Option<Tenancy<'_>>,
-    recorder: Option<&SharedRecorder>,
-) -> Result<ClusterRun> {
-    let sessions: Vec<EngineSession> = replicas
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
-    let mut cores: Vec<EngineCore<'_>> =
-        sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
-    if let Some(t) = &tenancy {
-        for core in &mut cores {
-            core.set_tenancy(t.sched);
-        }
-    }
-    let mut stream = ArrivalStream::new(traffic)?;
-    let offered = stream.total();
-    let gauges = recorder.map(|rec| {
-        let (_, series) = attach_replica_tracks(rec, replicas, &mut cores);
-        (Rc::clone(rec), series)
-    });
-
-    drive_with(
-        &mut cores,
-        &mut stream,
-        ColocatedHooks {
-            router: policy.build(),
-            tracker: SnapshotTracker::new(replicas.len()),
-            classed: tenancy.as_ref().is_some_and(Tenancy::multi),
-            gauges,
-        },
-    )?;
-
-    let mut completions: Vec<Completion> = Vec::new();
-    let mut chip_energy = Joules::ZERO;
-    let mut preemptions = 0;
-    let mut queue_full_s = 0.0;
-    let mut prefix = cimtpu_serving::PrefixStats::default();
-    let mut rows = Vec::with_capacity(replicas.len());
-    let mut replica_reports = Vec::new();
-    for (spec, core) in replicas.iter().zip(&cores) {
-        let memory = core.memory_stats();
-        preemptions += memory.preemptions;
-        queue_full_s += memory.queue_full_s;
-        prefix.absorb(&core.prefix_stats());
-        chip_energy += core.energy();
-        completions.extend_from_slice(core.completions());
-        if let Some(t) = tenancy.as_mut() {
-            if let Some(per_tenant) = core.tenant_preemptions() {
-                t.ledger.absorb_preemptions(per_tenant);
-            }
-        }
-        if let Some(rec) = recorder {
-            let track = core.trace_track().expect("recorder attached above");
-            let mut rec = rec.borrow_mut();
-            for c in core.completions() {
-                rec.complete_for(
-                    track,
-                    c.id,
-                    c.finish.get(),
-                    c.latency().as_millis(),
-                    c.ttft().as_millis(),
-                    tenant_tag(&tenancy, c.id),
-                );
-            }
-        }
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "serve".to_owned(),
-            chips: spec.chips(),
-            requests: core.completions().len() as u64,
-            busy_s: core.busy().get(),
-            utilization: 0.0, // filled against the fleet makespan
-            energy_j: core.energy().get(),
-            kv_hwm_frac: memory.kv_hwm_frac,
-        });
-        if !core.completions().is_empty() {
-            replica_reports.push(core.finish(&spec.name).report);
-        }
-    }
-    completions.sort_by_key(|c| c.id);
-    let mut report = ClusterReport::build(
-        label,
-        "colocated",
-        policy.name().to_owned(),
-        offered,
-        &completions,
-        chip_energy,
-        preemptions,
-        queue_full_s,
-        KvTransferStats::default(),
-        rows,
-        slo_ms,
-        None,
-    );
-    if let Some(t) = tenancy {
-        report.tenants = Some(t.ledger.report(&completions, report.makespan_s));
-    }
-    for session in &sessions {
-        session.persist_cache();
-    }
-    Ok(ClusterRun { report, replica_reports, completions, prefix })
-}
-
-/// A point action on the fault timeline (a [`FaultEvent`] window expands
-/// into a start and an end action).
-#[derive(Debug, Clone, Copy)]
-enum FaultAction {
-    Crash { replica: usize, repair: Seconds },
-    SlowStart { replica: usize, factor: f64 },
-    SlowEnd { replica: usize },
-}
-
-/// A request waiting to (re-)enter the fleet: a fresh arrival queued for
-/// admission, a crash-lost request backing off before its retry, or a
-/// request parked until some replica restarts.
-#[derive(Debug, Clone, Copy)]
-struct WaitingRetry {
-    /// When the request (re-)enters admission.
-    fire: Seconds,
-    /// The request (for retries, `arrival_s` is rewritten to the fire
-    /// time at push; the original arrival lives in the driver's origin
-    /// map and is restored on the delivered completion).
-    request: Request,
-    /// Retries already charged against the request's budget (0 for a
-    /// fresh arrival).
-    attempts: u32,
-}
-
-/// One crash on the books, for downtime and time-to-recover accounting.
-struct CrashRecord {
-    replica: usize,
-    at: Seconds,
-    /// When the replica came back `Up` (end of warmup).
-    up_again: Option<Seconds>,
-    /// Finish time of the replica's first completion after restart.
-    first_completion: Option<Seconds>,
-}
-
-/// Per-replica counters accumulated across incarnations: a crash replaces
-/// the replica's core, so its energy/busy/KV history is harvested at the
-/// crash instant and the restarted core starts a new ledger.
-#[derive(Default)]
-pub(crate) struct ReplicaAccum {
-    pub(crate) busy_s: f64,
-    pub(crate) energy_j: f64,
-    pub(crate) preemptions: u64,
-    pub(crate) queue_full_s: f64,
-    pub(crate) kv_hwm: f64,
-    pub(crate) prefix: PrefixStats,
-}
-
-impl ReplicaAccum {
-    pub(crate) fn harvest(&mut self, core: &EngineCore<'_>) {
-        let memory = core.memory_stats();
-        self.busy_s += core.busy().get();
-        self.energy_j += core.energy().get();
-        self.preemptions += memory.preemptions;
-        self.queue_full_s += memory.queue_full_s;
-        self.kv_hwm = self.kv_hwm.max(memory.kv_hwm_frac);
-        self.prefix.absorb(&core.prefix_stats());
-    }
-}
-
-/// Router snapshots over the healthy subset, re-indexed `0..up.len()` so
-/// index-returning and positional routers agree (see the health-view
-/// section of the [`router`](crate::router) module docs); the driver maps
-/// the routed position back through `up`.
-fn healthy_snapshots(
-    cores: &[EngineCore<'_>],
-    up: &[usize],
-    t: Seconds,
-    assigned: &[u64],
-    classed: bool,
-) -> Vec<ReplicaSnapshot> {
-    up.iter()
-        .enumerate()
-        .map(|(pos, &k)| ReplicaSnapshot {
-            index: pos,
-            outstanding: cores[k].outstanding_at(t),
-            queued: cores[k].queued(),
-            kv_frac: cores[k].kv_frac(),
-            assigned: assigned[k],
-            class_outstanding: if classed {
-                cores[k].outstanding_by_class_at(t)
-            } else {
-                [0; 3]
+                .enumerate()
+                .flat_map(|(g, base)| {
+                    (0..policy.groups[offset + g].min).map(move |j| {
+                        let mut spec = base.clone();
+                        spec.name = format!("{}-{j}", base.name);
+                        spec
+                    })
+                })
+                .collect()
+        };
+        let topology = match &self.topology {
+            ClusterTopology::Colocated { replicas, router } => ClusterTopology::Colocated {
+                replicas: expand(replicas, 0),
+                router: *router,
             },
-        })
-        .collect()
+            ClusterTopology::Disaggregated {
+                prefill,
+                decode,
+                router,
+                decode_router,
+                interconnect,
+            } => ClusterTopology::Disaggregated {
+                prefill: expand(prefill, 0),
+                decode: expand(decode, prefill.len()),
+                router: *router,
+                decode_router: *decode_router,
+                interconnect: *interconnect,
+            },
+        };
+        let pinned = ClusterEngine {
+            topology,
+            slo_ms: self.slo_ms,
+            faults: self.faults.clone(),
+            autoscale: None,
+        };
+        let mut run = pinned.dispatch(label, traffic, tenancy, recorder)?;
+        let chip_seconds = run.report.chips as f64 * run.report.makespan_s;
+        let busy_chip_s: f64 = run
+            .report
+            .per_replica
+            .iter()
+            .map(|r| r.busy_s * r.chips as f64)
+            .sum();
+        run.report.scaling = Some(ScalingStats::static_fleet(
+            run.report.replicas,
+            chip_seconds,
+            busy_chip_s,
+            run.report.total_energy_j,
+            policy.idle_watts,
+        ));
+        Ok(run)
+    }
 }
 
 /// Releases a shed or timed-out request's closed-loop client: the client
@@ -756,709 +453,52 @@ pub(crate) fn release_client(stream: &mut ArrivalStream, id: u64, orig_arrival: 
     });
 }
 
-/// The failure-aware colocated driver: `drive` re-derived as an explicit
-/// event loop so fault events, deferred completion delivery, and retry
-/// timers can interleave with arrivals and engine steps.
-///
-/// Event classes at one instant resolve in a fixed order — faults/health
-/// transitions, then arrivals, then completion deliveries, then retry
-/// fires (admission), then engine steps — chosen so a run whose faults
-/// are all benign (e.g. a ×1 straggler window) replays the plain driver
-/// bit-for-bit. Completions are *delivered* (fed to closed-loop clients,
-/// added to the run ledger) at their finish time rather than inside the
-/// step that produced them, which is what lets a crash revoke
-/// in-flight-but-undelivered completions.
-#[allow(clippy::too_many_arguments)] // one call site, in `dispatch`
-fn run_colocated_faulty(
-    replicas: &[ReplicaSpec],
-    policy: RouterPolicy,
-    label: &str,
-    traffic: &TrafficSpec,
-    slo_ms: Option<f64>,
-    plan: &FaultPlan,
-    mut tenancy: Option<Tenancy<'_>>,
-    recorder: Option<&SharedRecorder>,
-) -> Result<ClusterRun> {
-    let recovery = *plan.recovery();
-    let mut timeline: Vec<(Seconds, FaultAction)> = Vec::new();
-    for event in plan.resolve(replicas.len())? {
-        match event {
-            FaultEvent::Crash { at, replica, repair } => {
-                timeline.push((at, FaultAction::Crash { replica, repair }));
-            }
-            FaultEvent::Straggler { replica, from, until, slowdown } => {
-                timeline.push((from, FaultAction::SlowStart { replica, factor: slowdown }));
-                timeline.push((until, FaultAction::SlowEnd { replica }));
-            }
-            FaultEvent::DegradedLink { .. } => {
-                return Err(Error::invalid_config(
-                    "degraded-link faults apply to the disaggregated interconnect; \
-                     a colocated fleet has no handoff link",
-                ));
-            }
-        }
-    }
-    timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
-    let mut next_fault = 0usize;
-
-    let sessions: Vec<EngineSession> = replicas
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
-    let mut cores: Vec<EngineCore<'_>> =
-        sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
-    if let Some(t) = &tenancy {
-        for core in &mut cores {
-            core.set_tenancy(t.sched);
-        }
-    }
-    let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
-    let mut stream = ArrivalStream::new(traffic)?;
-    let offered = stream.total();
-    let mut router = policy.build();
-    let n = replicas.len();
-    let trace = recorder.map(|rec| FleetTrace::attach(rec, replicas, &mut cores));
-    // Start of the straggler window in flight per replica (NaN = none);
-    // the Straggler span is emitted when the window closes.
-    let mut slow_since = vec![f64::NAN; n];
-    let mut assigned = vec![0u64; n];
-    let mut health = HealthView::all_up(n);
-    // Core liveness: a crashed core stays in `cores` (stale) until its
-    // replica restarts and a fresh core replaces it.
-    let mut stale = vec![false; n];
-    let mut slowdown = vec![1.0f64; n];
-    let mut last_push = vec![f64::NEG_INFINITY; n];
-    let mut exhausted_closed = false;
-
-    // The run ledger lives in the driver, not the cores: cores are
-    // replaced on restart, and a completion only counts once delivered.
-    let mut delivered: Vec<Completion> = Vec::new();
-    let mut deliveries: Vec<(usize, Completion)> = Vec::new();
-    let mut delivered_by = vec![0u64; n];
-    let mut waiting: Vec<WaitingRetry> = Vec::new();
-    let mut origin: HashMap<u64, f64> = HashMap::new();
-    let mut attempts_of: HashMap<u64, u32> = HashMap::new();
-    let mut avail = AvailabilityStats::zero();
-    let mut crash_log: Vec<CrashRecord> = Vec::new();
-    let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
-
-    // The step-event queue: one slot per replica, keyed by the core's
-    // next-action time (`None` while the replica is down). Every
-    // core-mutating event below refreshes the owning slot, so the heap
-    // minimum always matches what a fresh `O(replicas)` scan over the
-    // non-stale cores would pick — same time, same lowest-index
-    // tie-break (pinned against the scan oracle by this module's
-    // proptests).
-    let mut step_heap = ActionHeap::new(n);
-    for (i, core) in cores.iter().enumerate() {
-        step_heap.set(i, core.next_action());
-    }
-
-    loop {
-        // Candidate events, classes in tie-break order.
-        let step_at = step_heap.peek();
-        let delivery_at: Option<(usize, Seconds)> = deliveries
-            .iter()
-            .enumerate()
-            .min_by(|(ai, a), (bi, b)| {
-                a.1.finish.get().total_cmp(&b.1.finish.get()).then(ai.cmp(bi))
-            })
-            .map(|(i, d)| (i, d.1.finish));
-        let retry_at: Option<usize> = waiting
-            .iter()
-            .enumerate()
-            .min_by(|(ai, a), (bi, b)| {
-                let ka = (a.fire.get(), a.request.arrival_s, a.request.id);
-                let kb = (b.fire.get(), b.request.arrival_s, b.request.id);
-                ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal).then(ai.cmp(bi))
-            })
-            .map(|(i, _)| i);
-        let fault_at: Option<Seconds> = {
-            let scripted = (next_fault < timeline.len()).then(|| timeline[next_fault].0);
-            match (scripted, health.next_transition()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            }
-        };
-        let arrival_at = stream.peek();
-
-        // The run is over when nothing can produce or receive work —
-        // trailing fault events on an idle fleet are dropped.
-        if stream.exhausted() && waiting.is_empty() && deliveries.is_empty() && step_at.is_none()
-        {
-            break;
-        }
-
-        let candidates = [
-            (fault_at, 0u8),
-            (arrival_at, 1),
-            (delivery_at.map(|(_, t)| t), 2),
-            (retry_at.map(|i| waiting[i].fire), 3),
-            (step_at.map(|(_, t)| t), 4),
-        ];
-        let mut chosen: Option<(Seconds, u8)> = None;
-        for (t, class) in candidates {
-            if let Some(t) = t {
-                // Iteration order is ascending class: strict `<` keeps
-                // the earlier class on ties.
-                if chosen.is_none_or(|(bt, _)| t < bt) {
-                    chosen = Some((t, class));
-                }
-            }
-        }
-        let Some((now, class)) = chosen else {
-            // Closed-loop stall: clients wait on completions held in
-            // partial batches. Flush the lowest stalled core (mirrors
-            // `drive`); its completions become deliveries.
-            let mut progressed = false;
-            for (i, core) in cores.iter_mut().enumerate() {
-                if stale[i] {
-                    continue;
-                }
-                if core.flush_stalled()? {
-                    step_heap.set(i, core.next_action());
-                    for &c in core.drain_new() {
-                        deliveries.push((i, c));
-                    }
-                    progressed = true;
-                    break;
-                }
-            }
-            if !progressed {
-                return Err(Error::invalid_config(
-                    "serving driver stalled: closed-loop clients wait on completions \
-                     no engine can produce",
-                ));
-            }
-            continue;
-        };
-
-        match class {
-            // Faults and health transitions.
-            0 => {
-                // Restores first: a replica back up at `now` can take a
-                // crash scripted for the same instant.
-                for k in health.advance(now, recovery.warmup) {
-                    cores[k] = sessions[k].core()?;
-                    if let Some(t) = &tenancy {
-                        cores[k].set_tenancy(t.sched);
-                    }
-                    stale[k] = false;
-                    last_push[k] = f64::NEG_INFINITY;
-                    if let Some(tr) = &trace {
-                        cores[k].attach_trace(TraceHandle::new(Rc::clone(&tr.rec), tr.tracks[k]));
-                        tr.rec.borrow_mut().instant(tr.tracks[k], EventKind::Repair, 0, now.get());
-                    }
-                    if slowdown[k] != 1.0 {
-                        cores[k].set_slowdown(slowdown[k]);
-                    }
-                    if exhausted_closed {
-                        cores[k].close();
-                    }
-                    step_heap.set(k, cores[k].next_action());
-                }
-                for rec in crash_log.iter_mut() {
-                    if rec.up_again.is_none() && health.is_up(rec.replica) {
-                        rec.up_again = Some(now);
-                    }
-                }
-                while next_fault < timeline.len() && timeline[next_fault].0 <= now {
-                    let (_, action) = timeline[next_fault];
-                    next_fault += 1;
-                    match action {
-                        FaultAction::Crash { replica, repair } => {
-                            if matches!(health.state(replica), ReplicaHealth::Down { .. }) {
-                                // Already down: nothing left to kill.
-                                continue;
-                            }
-                            let lost = cores[replica].crash(now);
-                            accum[replica].harvest(&cores[replica]);
-                            if let Some(t) = tenancy.as_mut() {
-                                if let Some(p) = cores[replica].tenant_preemptions() {
-                                    t.ledger.absorb_preemptions(p);
-                                }
-                            }
-                            stale[replica] = true;
-                            step_heap.set(replica, None);
-                            health.mark_down(replica, now + repair);
-                            avail.crashes += 1;
-                            crash_log.push(CrashRecord {
-                                replica,
-                                at: now,
-                                up_again: None,
-                                first_completion: None,
-                            });
-                            if let Some(tr) = &trace {
-                                tr.rec.borrow_mut().instant(
-                                    tr.tracks[replica],
-                                    EventKind::Crash,
-                                    0,
-                                    now.get(),
-                                );
-                            }
-                            // Revoke the dead incarnation's undelivered
-                            // completions — their requests are in `lost`.
-                            let lost_ids: Vec<u64> = lost.iter().map(|r| r.id).collect();
-                            deliveries
-                                .retain(|(k, c)| *k != replica || !lost_ids.contains(&c.id));
-                            for r in lost {
-                                let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                                let attempts = attempts_of.get(&r.id).copied().unwrap_or(0) + 1;
-                                if attempts > recovery.max_attempts {
-                                    avail.shed += 1;
-                                    if let Some(t) = tenancy.as_mut() {
-                                        t.ledger.on_shed(r.id);
-                                    }
-                                    if let Some(tr) = &trace {
-                                        tr.rec.borrow_mut().instant_for(
-                                            tr.control,
-                                            EventKind::Shed,
-                                            r.id,
-                                            now.get(),
-                                            tenant_tag(&tenancy, r.id),
-                                        );
-                                    }
-                                    release_client(&mut stream, r.id, orig, now);
-                                    continue;
-                                }
-                                let fire = now + recovery.backoff_for(attempts);
-                                if fire.get() > orig + recovery.deadline.get() {
-                                    avail.timed_out += 1;
-                                    if let Some(t) = tenancy.as_mut() {
-                                        t.ledger.on_timeout(r.id);
-                                    }
-                                    if let Some(tr) = &trace {
-                                        tr.rec.borrow_mut().instant_for(
-                                            tr.control,
-                                            EventKind::Timeout,
-                                            r.id,
-                                            now.get(),
-                                            tenant_tag(&tenancy, r.id),
-                                        );
-                                    }
-                                    release_client(&mut stream, r.id, orig, now);
-                                    continue;
-                                }
-                                if let Some(tr) = &trace {
-                                    tr.rec.borrow_mut().span_for(
-                                        tr.control,
-                                        EventKind::Retry,
-                                        r.id,
-                                        now.get(),
-                                        fire.get(),
-                                        tenant_tag(&tenancy, r.id),
-                                    );
-                                }
-                                attempts_of.insert(r.id, attempts);
-                                waiting.push(WaitingRetry { fire, request: r, attempts });
-                            }
-                        }
-                        FaultAction::SlowStart { replica, factor } => {
-                            slowdown[replica] = factor;
-                            slow_since[replica] = now.get();
-                            if !stale[replica] {
-                                cores[replica].set_slowdown(factor);
-                                step_heap.set(replica, cores[replica].next_action());
-                            }
-                        }
-                        FaultAction::SlowEnd { replica } => {
-                            slowdown[replica] = 1.0;
-                            if let Some(tr) = &trace {
-                                if slow_since[replica].is_finite() {
-                                    tr.rec.borrow_mut().span(
-                                        tr.tracks[replica],
-                                        EventKind::Straggler,
-                                        0,
-                                        slow_since[replica],
-                                        now.get(),
-                                    );
-                                }
-                            }
-                            slow_since[replica] = f64::NAN;
-                            if !stale[replica] {
-                                cores[replica].set_slowdown(1.0);
-                                step_heap.set(replica, cores[replica].next_action());
-                            }
-                        }
-                    }
-                }
-            }
-            // Arrival: enters the admission queue (fires this instant;
-            // admission is the retry class so arrivals and retries share
-            // one code path).
-            1 => {
-                let request = stream.pop();
-                origin.insert(request.id, request.arrival_s);
-                if let Some(tr) = &trace {
-                    // Emitted by the driver, not the core: a request can
-                    // be shed or time out before ever reaching a core.
-                    tr.rec.borrow_mut().request_arrival_for(
-                        tr.control,
-                        request.id,
-                        request.arrival_s,
-                        tenant_tag(&tenancy, request.id),
-                    );
-                }
-                waiting.push(WaitingRetry { fire: now, request, attempts: 0 });
-                if stream.exhausted() {
-                    exhausted_closed = true;
-                    for (i, core) in cores.iter_mut().enumerate() {
-                        if !stale[i] {
-                            core.close();
-                            step_heap.set(i, core.next_action());
-                        }
-                    }
-                }
-            }
-            // Completion delivery.
-            2 => {
-                let (idx, _) = delivery_at
-                    .ok_or_else(|| Error::internal("class 2 implies a pending delivery"))?;
-                let (k, mut c) = deliveries.remove(idx);
-                if let Some(orig) = origin.get(&c.id) {
-                    c.arrival = Seconds::new(*orig);
-                }
-                if attempts_of.get(&c.id).copied().unwrap_or(0) > 0 {
-                    avail.retried_ok += 1;
-                }
-                stream.on_complete(&c);
-                delivered_by[k] += 1;
-                for rec in crash_log.iter_mut() {
-                    if rec.replica == k && rec.first_completion.is_none() && c.finish > rec.at {
-                        rec.first_completion = Some(c.finish);
-                    }
-                }
-                if let Some(tr) = &trace {
-                    tr.rec.borrow_mut().complete_for(
-                        tr.tracks[k],
-                        c.id,
-                        c.finish.get(),
-                        c.latency().as_millis(),
-                        c.ttft().as_millis(),
-                        tenant_tag(&tenancy, c.id),
-                    );
-                }
-                delivered.push(c);
-            }
-            // Admission (fresh arrivals and retries).
-            3 => {
-                let idx = retry_at
-                    .ok_or_else(|| Error::internal("class 3 implies a waiting request"))?;
-                let item = waiting.remove(idx);
-                let r = item.request;
-                let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                if now.get() > orig + recovery.deadline.get() {
-                    avail.timed_out += 1;
-                    if let Some(t) = tenancy.as_mut() {
-                        t.ledger.on_timeout(r.id);
-                    }
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().instant_for(
-                            tr.control,
-                            EventKind::Timeout,
-                            r.id,
-                            now.get(),
-                            tenant_tag(&tenancy, r.id),
-                        );
-                    }
-                    release_client(&mut stream, r.id, orig, now);
-                    continue;
-                }
-                let up = health.up_replicas();
-                if up.is_empty() {
-                    // Nowhere to go: park until the next repair finishes
-                    // (no retry charged — the request was never placed).
-                    let fire = health.next_transition().ok_or_else(|| {
-                        Error::internal(
-                            "every replica is down and none is scheduled to restart",
-                        )
-                    })?;
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().instant_for(
-                            tr.control,
-                            EventKind::Park,
-                            r.id,
-                            now.get(),
-                            tenant_tag(&tenancy, r.id),
-                        );
-                    }
-                    waiting.push(WaitingRetry { fire, ..item });
-                    continue;
-                }
-                if let Some(threshold) = recovery.shed_outstanding {
-                    if up.iter().all(|&k| cores[k].outstanding_at(now) >= threshold) {
-                        // Surviving capacity is saturated: shed oldest
-                        // first — this request and every waiting request
-                        // older than it (closest to their deadlines).
-                        let key = (orig, r.id);
-                        let mut doomed = vec![(r.id, orig)];
-                        waiting.retain(|w| {
-                            let worig =
-                                *origin.get(&w.request.id).unwrap_or(&w.request.arrival_s);
-                            if (worig, w.request.id) <= key {
-                                doomed.push((w.request.id, worig));
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                        for (id, worig) in doomed {
-                            avail.shed += 1;
-                            if let Some(t) = tenancy.as_mut() {
-                                t.ledger.on_shed(id);
-                            }
-                            if let Some(tr) = &trace {
-                                tr.rec.borrow_mut().instant_for(
-                                    tr.control,
-                                    EventKind::Shed,
-                                    id,
-                                    now.get(),
-                                    tenant_tag(&tenancy, id),
-                                );
-                            }
-                            release_client(&mut stream, id, worig, now);
-                        }
-                        continue;
-                    }
-                }
-                let snaps = healthy_snapshots(&cores, &up, now, &assigned, classed);
-                let pos = router.route(&r, &snaps).min(up.len() - 1);
-                let k = up[pos];
-                assigned[k] += 1;
-                if item.attempts > 0 {
-                    avail.retries += 1;
-                }
-                let mut pushed = r;
-                pushed.arrival_s = if item.attempts > 0 { now.get() } else { r.arrival_s };
-                // A replica cannot see work arrive before its queue tail
-                // (a parked request can land on a replica that has taken
-                // later work meanwhile).
-                pushed.arrival_s = pushed.arrival_s.max(last_push[k]);
-                last_push[k] = pushed.arrival_s;
-                if exhausted_closed {
-                    cores[k].reopen();
-                    cores[k].push(pushed);
-                    cores[k].close();
-                } else {
-                    cores[k].push(pushed);
-                }
-                step_heap.set(k, cores[k].next_action());
-            }
-            // Engine step; completions become pending deliveries.
-            _ => {
-                let (i, _) =
-                    step_at.ok_or_else(|| Error::internal("class 4 implies a steppable core"))?;
-                cores[i].step()?;
-                step_heap.set(i, cores[i].next_action());
-                for &c in cores[i].drain_new() {
-                    deliveries.push((i, c));
-                }
-                if let Some(tr) = &trace {
-                    let mut rec = tr.rec.borrow_mut();
-                    rec.sample(tr.series[i][0], now.get(), cores[i].queued() as f64);
-                    rec.sample(tr.series[i][1], now.get(), cores[i].kv_frac());
-                }
-            }
-        }
-    }
-
-    // Harvest the surviving incarnations (crashed ones were harvested at
-    // their crash instant).
-    for (k, core) in cores.iter().enumerate() {
-        if !stale[k] {
-            accum[k].harvest(core);
-            if let Some(t) = tenancy.as_mut() {
-                if let Some(p) = core.tenant_preemptions() {
-                    t.ledger.absorb_preemptions(p);
-                }
-            }
-        }
-    }
-    delivered.sort_by_key(|c| c.id);
-    debug_assert_eq!(
-        delivered.len() as u64 + avail.shed + avail.timed_out,
-        offered,
-        "request conservation: arrived == completed + shed + timed out"
-    );
-
-    let finish = delivered.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
-    let first_arrival = delivered.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-    let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
-    let mut downtime = 0.0;
-    for rec in &crash_log {
-        let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
-        let start = clip(rec.at.get());
-        let end = clip(rec.up_again.map_or(finish.get(), |u| u.get()));
-        downtime += (end - start).max(0.0);
-        avail
-            .time_to_recover_s
-            .push((rec.first_completion.unwrap_or(finish).get() - rec.at.get()).max(0.0));
-    }
-    avail.downtime_s = downtime;
-    avail.availability = (1.0 - downtime / (n as f64 * makespan)).clamp(0.0, 1.0);
-
-    let mut chip_energy = Joules::ZERO;
-    let mut preemptions = 0;
-    let mut queue_full_s = 0.0;
-    let mut prefix = PrefixStats::default();
-    let mut rows = Vec::with_capacity(n);
-    for (k, spec) in replicas.iter().enumerate() {
-        let a = &accum[k];
-        chip_energy += Joules::new(a.energy_j);
-        preemptions += a.preemptions;
-        queue_full_s += a.queue_full_s;
-        prefix.absorb(&a.prefix);
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "serve".to_owned(),
-            chips: spec.chips(),
-            requests: delivered_by[k],
-            busy_s: a.busy_s,
-            utilization: 0.0, // filled against the fleet makespan
-            energy_j: a.energy_j,
-            kv_hwm_frac: a.kv_hwm,
-        });
-    }
-    let mut report = ClusterReport::build(
-        label,
-        "colocated",
-        policy.name().to_owned(),
-        offered,
-        &delivered,
-        chip_energy,
-        preemptions,
-        queue_full_s,
-        KvTransferStats::default(),
-        rows,
-        slo_ms,
-        Some(avail),
-    );
-    if let Some(t) = tenancy {
-        report.tenants = Some(t.ledger.report(&delivered, report.makespan_s));
-    }
-    for session in &sessions {
-        session.persist_cache();
-    }
-    // Per-incarnation ServingReports are not meaningful across crashes:
-    // fault runs report the fleet aggregate only.
-    Ok(ClusterRun { report, replica_reports: Vec::new(), completions: delivered, prefix })
-}
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use cimtpu_core::TpuConfig;
     use cimtpu_serving::{
-        drive, ArrivalPattern, BatchPolicy, LenDist, PrefixTraffic, ServingModel,
+        ArrivalPattern, BatchPolicy, EngineCore, EngineSession, LenDist, PrefixTraffic,
+        ServingModel,
     };
     use proptest::prelude::*;
 
     use super::*;
-    use crate::fault::ChaosSpec;
+    use crate::fault::{ChaosSpec, FaultEvent};
+    use crate::fleet::{fault_timeline, CrashRecord, FaultAction, Ledger, Waiting};
+    use crate::router::{HealthView, ReplicaHealth, ReplicaSnapshot};
 
     // ------------------------------------------------------------------
-    // Scan oracles: the pre-heap drivers, kept verbatim so proptests can
-    // pin the heap-scheduled drivers bit-for-bit against them.
+    // Scan oracle: the fleet loop before the heaps and the tracker, kept
+    // so proptests can pin the loop bit-for-bit against it. Every event
+    // class is re-derived by a linear scan at every iteration, every
+    // delivery waits for its finish time, and every routing decision
+    // rebuilds the routable replicas' snapshots from the cores.
     // ------------------------------------------------------------------
 
-    /// Pre-refactor router view: rebuilds every replica's snapshot (with
-    /// an `O(completions)` `outstanding_at` scan each) at instant `t`.
-    fn snapshots(cores: &[EngineCore<'_>], t: Seconds, assigned: &[u64]) -> Vec<ReplicaSnapshot> {
-        cores
-            .iter()
+    /// Router snapshots rebuilt from the cores over the routable subset,
+    /// re-indexed `0..up.len()`.
+    fn rebuild_snapshots(
+        cores: &[EngineCore<'_>],
+        up: &[usize],
+        t: Seconds,
+        assigned: &[u64],
+    ) -> Vec<ReplicaSnapshot> {
+        up.iter()
             .enumerate()
-            .map(|(index, core)| ReplicaSnapshot {
-                index,
-                outstanding: core.outstanding_at(t),
-                queued: core.queued(),
-                kv_frac: core.kv_frac(),
-                assigned: assigned[index],
+            .map(|(pos, &k)| ReplicaSnapshot {
+                index: pos,
+                outstanding: cores[k].outstanding_at(t),
+                queued: cores[k].queued(),
+                kv_frac: cores[k].kv_frac(),
+                assigned: assigned[k],
                 class_outstanding: [0; 3],
             })
             .collect()
     }
 
-    /// The zero-fault colocated driver as it was before the
-    /// [`SnapshotTracker`] port: per-arrival snapshot rebuilds over the
-    /// (already heap-scheduled) [`drive`] loop.
-    fn run_colocated_oracle(
-        replicas: &[ReplicaSpec],
-        policy: RouterPolicy,
-        label: &str,
-        traffic: &TrafficSpec,
-        slo_ms: Option<f64>,
-    ) -> Result<ClusterRun> {
-        let sessions: Vec<EngineSession> = replicas
-            .iter()
-            .map(|r| EngineSession::new(&r.engine()?))
-            .collect::<Result<_>>()?;
-        let mut cores: Vec<EngineCore<'_>> =
-            sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
-        let mut stream = ArrivalStream::new(traffic)?;
-        let offered = stream.total();
-        let mut router = policy.build();
-        let mut assigned = vec![0u64; replicas.len()];
-
-        drive(&mut cores, &mut stream, |request, cores| {
-            let snaps = snapshots(cores, request.arrival(), &assigned);
-            let k = router.route(request, &snaps).min(cores.len() - 1);
-            assigned[k] += 1;
-            k
-        })?;
-
-        let mut completions: Vec<Completion> = Vec::new();
-        let mut chip_energy = Joules::ZERO;
-        let mut preemptions = 0;
-        let mut queue_full_s = 0.0;
-        let mut prefix = cimtpu_serving::PrefixStats::default();
-        let mut rows = Vec::with_capacity(replicas.len());
-        let mut replica_reports = Vec::new();
-        for (spec, core) in replicas.iter().zip(&cores) {
-            let memory = core.memory_stats();
-            preemptions += memory.preemptions;
-            queue_full_s += memory.queue_full_s;
-            prefix.absorb(&core.prefix_stats());
-            chip_energy += core.energy();
-            completions.extend_from_slice(core.completions());
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "serve".to_owned(),
-                chips: spec.chips(),
-                requests: core.completions().len() as u64,
-                busy_s: core.busy().get(),
-                utilization: 0.0, // filled against the fleet makespan
-                energy_j: core.energy().get(),
-                kv_hwm_frac: memory.kv_hwm_frac,
-            });
-            if !core.completions().is_empty() {
-                replica_reports.push(core.finish(&spec.name).report);
-            }
-        }
-        completions.sort_by_key(|c| c.id);
-        let report = ClusterReport::build(
-            label,
-            "colocated",
-            policy.name().to_owned(),
-            offered,
-            &completions,
-            chip_energy,
-            preemptions,
-            queue_full_s,
-            KvTransferStats::default(),
-            rows,
-            slo_ms,
-            None,
-        );
-        for session in &sessions {
-            session.persist_cache();
-        }
-        Ok(ClusterRun { report, replica_reports, completions, prefix })
-    }
-
-    /// The failure-aware colocated driver as it was before the
-    /// [`ActionHeap`] port: the step event re-derived by an `O(replicas)`
-    /// scan over the non-stale cores at every loop iteration.
     #[allow(clippy::too_many_lines)]
     fn run_colocated_faulty_oracle(
         replicas: &[ReplicaSpec],
@@ -1469,25 +509,7 @@ mod tests {
         plan: &FaultPlan,
     ) -> Result<ClusterRun> {
         let recovery = *plan.recovery();
-        let mut timeline: Vec<(Seconds, FaultAction)> = Vec::new();
-        for event in plan.resolve(replicas.len())? {
-            match event {
-                FaultEvent::Crash { at, replica, repair } => {
-                    timeline.push((at, FaultAction::Crash { replica, repair }));
-                }
-                FaultEvent::Straggler { replica, from, until, slowdown } => {
-                    timeline.push((from, FaultAction::SlowStart { replica, factor: slowdown }));
-                    timeline.push((until, FaultAction::SlowEnd { replica }));
-                }
-                FaultEvent::DegradedLink { .. } => {
-                    return Err(Error::invalid_config(
-                        "degraded-link faults apply to the disaggregated interconnect; \
-                         a colocated fleet has no handoff link",
-                    ));
-                }
-            }
-        }
-        timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
+        let timeline = fault_timeline(plan, replicas.len())?;
         let mut next_fault = 0usize;
 
         let sessions: Vec<EngineSession> = replicas
@@ -1506,18 +528,26 @@ mod tests {
         let mut slowdown = vec![1.0f64; n];
         let mut last_push = vec![f64::NEG_INFINITY; n];
         let mut exhausted_closed = false;
+        // The stream's last request: the cores close once it is admitted.
+        let mut final_arrival: Option<u64> = None;
+        let mut close_now = false;
 
-        let mut delivered: Vec<Completion> = Vec::new();
+        let mut ledger = Ledger::new(n, offered);
         let mut deliveries: Vec<(usize, Completion)> = Vec::new();
-        let mut delivered_by = vec![0u64; n];
-        let mut waiting: Vec<WaitingRetry> = Vec::new();
+        let mut waiting: Vec<Waiting> = Vec::new();
         let mut origin: HashMap<u64, f64> = HashMap::new();
         let mut attempts_of: HashMap<u64, u32> = HashMap::new();
-        let mut avail = AvailabilityStats::zero();
-        let mut crash_log: Vec<CrashRecord> = Vec::new();
-        let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
 
         loop {
+            if close_now {
+                close_now = false;
+                exhausted_closed = true;
+                for (i, core) in cores.iter_mut().enumerate() {
+                    if !stale[i] {
+                        core.close();
+                    }
+                }
+            }
             let mut step_at: Option<(usize, Seconds)> = None;
             for (i, core) in cores.iter().enumerate() {
                 if stale[i] {
@@ -1613,7 +643,7 @@ mod tests {
                             cores[k].close();
                         }
                     }
-                    for rec in crash_log.iter_mut() {
+                    for rec in ledger.crash_log.iter_mut() {
                         if rec.up_again.is_none() && health.is_up(rec.replica) {
                             rec.up_again = Some(now);
                         }
@@ -1627,11 +657,11 @@ mod tests {
                                     continue;
                                 }
                                 let lost = cores[replica].crash(now);
-                                accum[replica].harvest(&cores[replica]);
+                                ledger.accum[replica].harvest(&cores[replica]);
                                 stale[replica] = true;
                                 health.mark_down(replica, now + repair);
-                                avail.crashes += 1;
-                                crash_log.push(CrashRecord {
+                                ledger.avail.crashes += 1;
+                                ledger.crash_log.push(CrashRecord {
                                     replica,
                                     at: now,
                                     up_again: None,
@@ -1645,18 +675,18 @@ mod tests {
                                     let attempts =
                                         attempts_of.get(&r.id).copied().unwrap_or(0) + 1;
                                     if attempts > recovery.max_attempts {
-                                        avail.shed += 1;
+                                        ledger.avail.shed += 1;
                                         release_client(&mut stream, r.id, orig, now);
                                         continue;
                                     }
                                     let fire = now + recovery.backoff_for(attempts);
                                     if fire.get() > orig + recovery.deadline.get() {
-                                        avail.timed_out += 1;
+                                        ledger.avail.timed_out += 1;
                                         release_client(&mut stream, r.id, orig, now);
                                         continue;
                                     }
                                     attempts_of.insert(r.id, attempts);
-                                    waiting.push(WaitingRetry { fire, request: r, attempts });
+                                    waiting.push(Waiting { fire, request: r, attempts });
                                 }
                             }
                             FaultAction::SlowStart { replica, factor } => {
@@ -1677,15 +707,10 @@ mod tests {
                 1 => {
                     let request = stream.pop();
                     origin.insert(request.id, request.arrival_s);
-                    waiting.push(WaitingRetry { fire: now, request, attempts: 0 });
                     if stream.exhausted() {
-                        exhausted_closed = true;
-                        for (i, core) in cores.iter_mut().enumerate() {
-                            if !stale[i] {
-                                core.close();
-                            }
-                        }
+                        final_arrival = Some(request.id);
                     }
+                    waiting.push(Waiting { fire: now, request, attempts: 0 });
                 }
                 2 => {
                     let (idx, _) = delivery_at
@@ -1695,26 +720,30 @@ mod tests {
                         c.arrival = Seconds::new(*orig);
                     }
                     if attempts_of.get(&c.id).copied().unwrap_or(0) > 0 {
-                        avail.retried_ok += 1;
+                        ledger.avail.retried_ok += 1;
                     }
                     stream.on_complete(&c);
-                    delivered_by[k] += 1;
-                    for rec in crash_log.iter_mut() {
+                    ledger.delivered_by[k] += 1;
+                    for rec in ledger.crash_log.iter_mut() {
                         if rec.replica == k && rec.first_completion.is_none() && c.finish > rec.at
                         {
                             rec.first_completion = Some(c.finish);
                         }
                     }
-                    delivered.push(c);
+                    ledger.delivered.push(c);
                 }
                 3 => {
                     let idx = retry_at
                         .ok_or_else(|| Error::internal("class 3 implies a waiting request"))?;
                     let item = waiting.remove(idx);
                     let r = item.request;
+                    if final_arrival == Some(r.id) {
+                        final_arrival = None;
+                        close_now = true;
+                    }
                     let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
                     if now.get() > orig + recovery.deadline.get() {
-                        avail.timed_out += 1;
+                        ledger.avail.timed_out += 1;
                         release_client(&mut stream, r.id, orig, now);
                         continue;
                     }
@@ -1725,7 +754,7 @@ mod tests {
                                 "every replica is down and none is scheduled to restart",
                             )
                         })?;
-                        waiting.push(WaitingRetry { fire, ..item });
+                        waiting.push(Waiting { fire, ..item });
                         continue;
                     }
                     if let Some(threshold) = recovery.shed_outstanding {
@@ -1743,18 +772,18 @@ mod tests {
                                 }
                             });
                             for (id, worig) in doomed {
-                                avail.shed += 1;
+                                ledger.avail.shed += 1;
                                 release_client(&mut stream, id, worig, now);
                             }
                             continue;
                         }
                     }
-                    let snaps = healthy_snapshots(&cores, &up, now, &assigned, false);
+                    let snaps = rebuild_snapshots(&cores, &up, now, &assigned);
                     let pos = router.route(&r, &snaps).min(up.len() - 1);
                     let k = up[pos];
                     assigned[k] += 1;
                     if item.attempts > 0 {
-                        avail.retries += 1;
+                        ledger.avail.retries += 1;
                     }
                     let mut pushed = r;
                     pushed.arrival_s = if item.attempts > 0 { now.get() } else { r.arrival_s };
@@ -1781,77 +810,29 @@ mod tests {
 
         for (k, core) in cores.iter().enumerate() {
             if !stale[k] {
-                accum[k].harvest(core);
+                ledger.accum[k].harvest(core);
             }
         }
-        delivered.sort_by_key(|c| c.id);
-        debug_assert_eq!(
-            delivered.len() as u64 + avail.shed + avail.timed_out,
-            offered,
-            "request conservation: arrived == completed + shed + timed out"
-        );
-
-        let finish = delivered.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
-        let first_arrival = delivered.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-        let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
-        let mut downtime = 0.0;
-        for rec in &crash_log {
-            let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
-            let start = clip(rec.at.get());
-            let end = clip(rec.up_again.map_or(finish.get(), |u| u.get()));
-            downtime += (end - start).max(0.0);
-            avail
-                .time_to_recover_s
-                .push((rec.first_completion.unwrap_or(finish).get() - rec.at.get()).max(0.0));
-        }
-        avail.downtime_s = downtime;
-        avail.availability = (1.0 - downtime / (n as f64 * makespan)).clamp(0.0, 1.0);
-
-        let mut chip_energy = Joules::ZERO;
-        let mut preemptions = 0;
-        let mut queue_full_s = 0.0;
-        let mut prefix = PrefixStats::default();
-        let mut rows = Vec::with_capacity(n);
-        for (k, spec) in replicas.iter().enumerate() {
-            let a = &accum[k];
-            chip_energy += Joules::new(a.energy_j);
-            preemptions += a.preemptions;
-            queue_full_s += a.queue_full_s;
-            prefix.absorb(&a.prefix);
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "serve".to_owned(),
-                chips: spec.chips(),
-                requests: delivered_by[k],
-                busy_s: a.busy_s,
-                utilization: 0.0, // filled against the fleet makespan
-                energy_j: a.energy_j,
-                kv_hwm_frac: a.kv_hwm,
-            });
-        }
-        let report = ClusterReport::build(
-            label,
-            "colocated",
-            policy.name().to_owned(),
-            offered,
-            &delivered,
-            chip_energy,
-            preemptions,
-            queue_full_s,
-            KvTransferStats::default(),
-            rows,
-            slo_ms,
-            Some(avail),
-        );
+        let (report, prefix) =
+            ledger.report(replicas, |_| true, label, policy, slo_ms, offered, !plan.is_empty())?;
+        let replica_reports = if plan.is_empty() {
+            replicas
+                .iter()
+                .zip(&cores)
+                .filter(|(_, core)| !core.completions().is_empty())
+                .map(|(spec, core)| core.finish(&spec.name).report)
+                .collect()
+        } else {
+            Vec::new()
+        };
         for session in &sessions {
             session.persist_cache();
         }
-        Ok(ClusterRun { report, replica_reports: Vec::new(), completions: delivered, prefix })
+        Ok(ClusterRun { report, replica_reports, completions: ledger.delivered, prefix })
     }
 
     // ------------------------------------------------------------------
-    // Equivalence proptests: heap-scheduled drivers == scan oracles.
+    // Equivalence proptest: the fleet loop == the scan oracle.
     // ------------------------------------------------------------------
 
     fn tiny() -> ServingModel {
@@ -1900,29 +881,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
-        /// The tracker-routed zero-fault driver replays the per-arrival
-        /// snapshot rebuild bit-for-bit, for every router policy and
-        /// both open- and closed-loop traffic.
+        /// The fleet loop replays the scan oracle bit-for-bit for every
+        /// router policy, open- and closed-loop traffic, and every kind
+        /// of plan: none (immediate deliveries, tracker pass-through), a
+        /// benign ×1 straggler, scripted crash + straggler, and seeded
+        /// chaos (deferred deliveries, re-indexed routable subsets).
         #[test]
-        fn tracked_colocated_matches_rebuild_oracle(seed in 0u64..1_000) {
+        fn fleet_loop_matches_scan_oracle(seed in 0u64..1_000) {
             let fleet = mixed_fleet();
-            for traffic in traffics(seed) {
-                for policy in POLICIES {
-                    let fast =
-                        run_colocated(&fleet, policy, "eq", &traffic, Some(50.0), None, None).unwrap();
-                    let slow =
-                        run_colocated_oracle(&fleet, policy, "eq", &traffic, Some(50.0)).unwrap();
-                    prop_assert_eq!(&fast, &slow, "policy {}", policy.name());
-                }
-            }
-        }
-
-        /// The heap-scheduled failure-aware driver replays the scan
-        /// oracle bit-for-bit under scripted crashes + a straggler
-        /// window and under seeded chaos, for every router policy.
-        #[test]
-        fn heap_faulty_matches_scan_oracle(seed in 0u64..1_000) {
-            let fleet = mixed_fleet();
+            let benign = FaultPlan::none().with_event(FaultEvent::Straggler {
+                replica: 1,
+                from: Seconds::new(0.000_2),
+                until: Seconds::new(0.002),
+                slowdown: 1.0,
+            });
             let scripted = FaultPlan::none()
                 .with_event(FaultEvent::Crash {
                     at: Seconds::new(0.000_4),
@@ -1941,14 +913,16 @@ mod tests {
                 repair: Seconds::new(0.002),
             });
             for traffic in traffics(seed) {
-                for plan in [&scripted, &chaos] {
+                for plan in [&FaultPlan::none(), &benign, &scripted, &chaos] {
                     for policy in POLICIES {
-                        let fast =
-                            run_colocated_faulty(&fleet, policy, "eq", &traffic, None, plan, None, None)
-                                .unwrap();
-                        let slow =
-                            run_colocated_faulty_oracle(&fleet, policy, "eq", &traffic, None, plan)
-                                .unwrap();
+                        let fast = run_colocated(
+                            &fleet, policy, "eq", &traffic, Some(50.0), plan, None, None, None,
+                        )
+                        .unwrap();
+                        let slow = run_colocated_faulty_oracle(
+                            &fleet, policy, "eq", &traffic, Some(50.0), plan,
+                        )
+                        .unwrap();
                         prop_assert_eq!(&fast, &slow, "policy {}", policy.name());
                     }
                 }

@@ -36,11 +36,13 @@
 //! **Colocated** fleets run one incremental
 //! [`EngineCore`](cimtpu_serving::EngineCore) per [`ReplicaSpec`] — each
 //! with its own chip config, model, batching policy, and KV budget — and
-//! interleave them through the shared
-//! [`drive`](cimtpu_serving::drive) event loop. The [`Router`] sees a
-//! [`ReplicaSnapshot`] per replica at every arrival instant (outstanding
-//! work, queue depth, live KV occupancy) and picks the target; see the
-//! [`router`] module docs for the full trait contract. A 1-replica
+//! interleave them through one discrete-event fleet loop, whether the
+//! fleet is static, under a fault plan, or autoscaled (faults and
+//! reconcile ticks are event sources of the same loop). The [`Router`]
+//! sees a [`ReplicaSnapshot`] per routable replica at every admission
+//! instant (outstanding work, queue depth, live KV occupancy) and picks
+//! the target; see the [`router`] module docs for the full trait
+//! contract. A 1-replica
 //! colocated cluster with the [`RouterPolicy::PassThrough`] router
 //! reproduces the corresponding single-engine
 //! [`ServingReport`](cimtpu_serving::ServingReport) **bit-for-bit** —
@@ -87,9 +89,9 @@
 //! energy multipliers on the disaggregated handoff link). A
 //! [`FaultPlan`] combines explicit events with seeded [`ChaosSpec`]
 //! draws from an RNG stream separate from the traffic's, so reseeding
-//! faults never perturbs arrivals — and an *empty* plan dispatches to
-//! the unchanged zero-fault drivers, keeping today's runs bit-for-bit.
-//! The failure-aware drivers route around down replicas via a
+//! faults never perturbs arrivals — and an *empty* plan adds no events,
+//! keeping zero-fault runs bit-for-bit. Under a plan the drivers route
+//! around down replicas via a
 //! [`HealthView`], retry lost requests with capped exponential backoff
 //! under a per-request budget and deadline, and report an
 //! [`AvailabilityStats`] section (crashes, downtime, retries, shed /
@@ -109,7 +111,7 @@
 //! report gains a `scaling` section (action log, ramp SLO violations,
 //! chip-seconds and joules) so an elastic run compares head-to-head
 //! with a peak-sized static fleet. A **pinned** policy (`min == max`
-//! everywhere, no swaps) expands the fleet and reuses the plain drivers
+//! everywhere, no swaps) expands the fleet and runs it as a static one,
 //! bit-identically.
 //!
 //! # Observability
@@ -178,6 +180,7 @@
 pub mod disagg;
 mod elastic;
 mod engine;
+mod fleet;
 pub mod fault;
 mod replica;
 mod report;

@@ -34,12 +34,12 @@
 //! Both hash with a fixed 64-bit finalizer — no RNG, no load feedback —
 //! so placement is reproducible whatever the interleaving.
 //!
-//! # Health view (failure-aware runs)
+//! # Health view (failure-aware and elastic runs)
 //!
-//! Under a fault plan the driver keeps a [`HealthView`] — one
-//! [`ReplicaHealth`] per replica — and consults the router with
-//! snapshots of the **healthy subset only**, re-indexed `0..k` (the
-//! driver maps the choice back to real replica indices). Re-indexing
+//! The fleet loop keeps a [`HealthView`] — one [`ReplicaHealth`] per
+//! replica slot — and, whenever some slot is not routable, consults the
+//! router with snapshots of the **routable subset only**, re-indexed
+//! `0..k` (the loop maps the choice back to real slot indices). Re-indexing
 //! keeps every policy's contract intact whether it returns a snapshot's
 //! `index` or a position: the two coincide. A crashed replica is
 //! [`Down`](ReplicaHealth::Down) (drained — it takes no traffic), then
@@ -311,7 +311,7 @@ pub struct HealthView {
     /// of `states`, updated on [`mark_down`](HealthView::mark_down) and
     /// recomputed on [`advance`](HealthView::advance), so
     /// [`next_transition`](HealthView::next_transition) is `O(1)` on the
-    /// fault-aware drivers' per-event path.
+    /// fleet loop's per-event path.
     next: Option<Seconds>,
 }
 
@@ -387,33 +387,33 @@ impl HealthView {
     }
 }
 
-/// A completion's finish time ordered by `total_cmp` (times are never NaN
-/// in a healthy run, but an ordering that cannot panic keeps the expiry
-/// heap total).
+/// A simulated time ordered by `total_cmp` (times are never NaN in a
+/// healthy run, but an ordering that cannot panic keeps the event heaps
+/// total).
 #[derive(Debug, Clone, Copy)]
-struct FinishKey(f64);
+pub(crate) struct TimeKey(pub(crate) f64);
 
-impl PartialEq for FinishKey {
+impl PartialEq for TimeKey {
     fn eq(&self, other: &Self) -> bool {
         self.0.total_cmp(&other.0) == std::cmp::Ordering::Equal
     }
 }
-impl Eq for FinishKey {}
-impl PartialOrd for FinishKey {
+impl Eq for TimeKey {}
+impl PartialOrd for TimeKey {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for FinishKey {
+impl Ord for TimeKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
 }
 
-/// Incrementally-maintained router snapshots for the zero-fault colocated
-/// driver: the `O(1)`-per-event replacement for rebuilding a
+/// Incrementally-maintained router snapshots for the colocated fleet
+/// loop: the `O(1)`-per-event replacement for rebuilding a
 /// [`ReplicaSnapshot`] vector (with an `O(completions)`
-/// `outstanding_at` scan per replica) at every arrival.
+/// `outstanding_at` scan per replica) at every routing decision.
 ///
 /// The tracker exploits the identity `outstanding_at(t) = pushed −
 /// #{completions with finish ≤ t}`: it counts pushes up and expires
@@ -428,12 +428,17 @@ impl Ord for FinishKey {
 /// [`resync`](SnapshotTracker::resync)ing from the cores' completion
 /// ledgers instead of advancing. `queued` and `kv_frac` are refreshed
 /// from the replica's own `O(1)`/`O(chips)` getters after each event
-/// that can move them.
+/// that can move them. A replica whose core is replaced (a crash restart
+/// or an elastic boot) is [`reset`](SnapshotTracker::reset): its pending
+/// expiry entries are stamped with an older epoch and skipped.
 #[derive(Debug)]
 pub struct SnapshotTracker {
     snaps: Vec<ReplicaSnapshot>,
-    /// Scheduled completions not yet counted out of `outstanding`.
-    expiry: BinaryHeap<Reverse<(FinishKey, usize)>>,
+    /// Scheduled completions not yet counted out of `outstanding`, stamped
+    /// with the replica's epoch at push time.
+    expiry: BinaryHeap<Reverse<(TimeKey, usize, u64)>>,
+    /// Per-replica incarnation counter, bumped by `reset`.
+    epochs: Vec<u64>,
     /// The last routing instant (monotone; debug-asserted).
     now: Seconds,
 }
@@ -453,6 +458,7 @@ impl SnapshotTracker {
                 })
                 .collect(),
             expiry: BinaryHeap::new(),
+            epochs: vec![0; replicas],
             now: Seconds::ZERO,
         }
     }
@@ -471,12 +477,14 @@ impl SnapshotTracker {
     pub fn advance_to(&mut self, t: Seconds) {
         debug_assert!(t >= self.now, "routing instants regressed: {t:?} < {:?}", self.now);
         self.now = t;
-        while let Some(&Reverse((FinishKey(finish), k))) = self.expiry.peek() {
+        while let Some(&Reverse((TimeKey(finish), k, epoch))) = self.expiry.peek() {
             if finish > t.get() {
                 break;
             }
             self.expiry.pop();
-            self.snaps[k].outstanding -= 1;
+            if epoch == self.epochs[k] {
+                self.snaps[k].outstanding -= 1;
+            }
         }
     }
 
@@ -502,21 +510,35 @@ impl SnapshotTracker {
             s.kv_frac = core.kv_frac();
             for c in core.completions() {
                 if c.finish > t {
-                    self.expiry.push(Reverse((FinishKey(c.finish.get()), k)));
+                    self.expiry.push(Reverse((TimeKey(c.finish.get()), k, self.epochs[k])));
                 }
             }
         }
     }
 
-    /// Refreshes every snapshot's per-class outstanding split from the
-    /// cores' ledgers at the current routing instant. Multi-tenant
-    /// drivers call this before consulting a router; single-tenant runs
-    /// skip it (the zeros stand, and no policy reads them), keeping the
-    /// tracker's `O(1)`-per-event path intact. `O(replicas × residents +
-    /// future completions)` per call — paid only when tenancy is armed.
-    pub fn refresh_classes(&mut self, cores: &[EngineCore<'_>]) {
-        for (k, core) in cores.iter().enumerate() {
-            self.snaps[k].class_outstanding = core.outstanding_by_class_at(self.now);
+    /// Forgets replica `k`'s current incarnation: its core was replaced by
+    /// a fresh one (empty queue, no completions, empty allocator). The
+    /// counts restart from zero and the old core's pending expiries are
+    /// invalidated; `assigned` keeps counting across incarnations.
+    pub fn reset(&mut self, k: usize) {
+        self.epochs[k] += 1;
+        let s = &mut self.snaps[k];
+        s.outstanding = 0;
+        s.queued = 0;
+        s.kv_frac = 0.0;
+        s.class_outstanding = [0; 3];
+    }
+
+    /// Refreshes the per-class outstanding split of each replica in
+    /// `members` from its core's ledger at the current routing instant.
+    /// Multi-tenant drivers call this for the routable replicas before
+    /// consulting a router; single-tenant runs skip it (the zeros stand,
+    /// and no policy reads them), keeping the tracker's `O(1)`-per-event
+    /// path intact. `O(members × residents + future completions)` per
+    /// call — paid only when tenancy is armed.
+    pub fn refresh_classes(&mut self, cores: &[EngineCore<'_>], members: &[usize]) {
+        for &k in members {
+            self.snaps[k].class_outstanding = cores[k].outstanding_by_class_at(self.now);
         }
     }
 
@@ -538,7 +560,7 @@ impl SnapshotTracker {
         s.kv_frac = kv_frac;
         for c in new {
             if c.finish.get() > self.now.get() {
-                self.expiry.push(Reverse((FinishKey(c.finish.get()), k)));
+                self.expiry.push(Reverse((TimeKey(c.finish.get()), k, self.epochs[k])));
             } else {
                 // Already in the past at the current routing instant:
                 // it would expire on the next advance anyway.
@@ -712,6 +734,55 @@ mod tests {
         h.mark_down(0, Seconds::new(7.0));
         assert_eq!(h.advance(Seconds::new(7.0), Seconds::ZERO), vec![0]);
         assert!(h.is_up(0));
+    }
+
+    /// A tracker whose replica was replaced and `reset` reads exactly what
+    /// a fresh rebuild from the replacement core reads, while `assigned`
+    /// keeps counting across incarnations.
+    #[test]
+    fn reset_tracker_matches_rebuild_from_replacement_core() {
+        use crate::ReplicaSpec;
+        use cimtpu_serving::{EngineSession, ServingModel};
+
+        let spec = ReplicaSpec::new(
+            "r",
+            cimtpu_core::TpuConfig::tpuv4i(),
+            ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer()),
+        );
+        let sessions: Vec<EngineSession> =
+            (0..2).map(|_| EngineSession::new(&spec.engine().unwrap()).unwrap()).collect();
+        let mut cores: Vec<EngineCore<'_>> = sessions.iter().map(|s| s.core().unwrap()).collect();
+        let mut tracker = SnapshotTracker::new(2);
+        let push = |tracker: &mut SnapshotTracker, cores: &mut [EngineCore<'_>], k: usize, id| {
+            cores[k].push(Request { arrival_s: 0.0, ..req(id, id) });
+            tracker.on_push(k, cores[k].queued());
+        };
+        let step = |tracker: &mut SnapshotTracker, cores: &mut [EngineCore<'_>], k: usize| {
+            cores[k].step().unwrap();
+            let new = cores[k].drain_new().to_vec();
+            tracker.on_step(k, cores[k].queued(), cores[k].kv_frac(), &new);
+        };
+        for id in 0..4 {
+            push(&mut tracker, &mut cores, (id % 2) as usize, id);
+        }
+        for _ in 0..3 {
+            step(&mut tracker, &mut cores, 0);
+            step(&mut tracker, &mut cores, 1);
+        }
+        // Replica 1 is replaced mid-flight: its scheduled completions are
+        // gone with the old core.
+        cores[1] = sessions[1].core().unwrap();
+        tracker.reset(1);
+        push(&mut tracker, &mut cores, 1, 4);
+        step(&mut tracker, &mut cores, 1);
+        let t = cores.iter().filter_map(EngineCore::next_action).fold(Seconds::ZERO, Seconds::max);
+        tracker.advance_to(t);
+        let mut rebuilt = SnapshotTracker::new(2);
+        rebuilt.resync(t, &cores);
+        for (got, want) in tracker.snapshots().iter().zip(rebuilt.snapshots()) {
+            assert_eq!(*got, ReplicaSnapshot { assigned: got.assigned, ..*want });
+        }
+        assert_eq!(tracker.snapshots()[1].assigned, 3);
     }
 
     #[test]

@@ -168,7 +168,7 @@ pub use request::{
 };
 pub use heap::ActionHeap;
 pub use session::EngineSession;
-pub use step::{drive, drive_with, DriveHooks, EngineCore};
+pub use step::{drive, EngineCore};
 pub use tenant::{
     parse_tenants, SloClass, TenantLedger, TenantPart, TenantReport, TenantSched, TenantSet,
     TenantSpec, TenantUsage,

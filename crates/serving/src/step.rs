@@ -1554,39 +1554,6 @@ fn earliest(free_at: &[Seconds]) -> usize {
     best
 }
 
-/// Driver-side observers for the [`drive_with`] event loop.
-///
-/// `route` picks the core an arrival is pushed into; the remaining hooks
-/// let a fleet driver maintain incremental state (router snapshots,
-/// per-replica ledgers) without rescanning the cores on every event. A
-/// plain `FnMut(&Request, &[EngineCore]) -> usize` routing closure
-/// implements the trait with no-op observers, so single-engine callers
-/// keep using [`drive`].
-pub trait DriveHooks {
-    /// Chooses the core index for `request` (out-of-range clamps).
-    fn route(&mut self, request: &Request, cores: &[EngineCore<'_>]) -> usize;
-
-    /// Called after `request`-routing pushed into (clamped) core `k`.
-    fn on_push(&mut self, k: usize, cores: &[EngineCore<'_>]) {
-        let _ = (k, cores);
-    }
-
-    /// Called after core `k` stepped (or flushed a stalled batch), with
-    /// the completions the step produced.
-    fn on_step(&mut self, k: usize, cores: &[EngineCore<'_>], new: &[Completion]) {
-        let _ = (k, cores, new);
-    }
-}
-
-/// Adapts a routing closure into no-op [`DriveHooks`].
-struct RouteOnly<F>(F);
-
-impl<F: FnMut(&Request, &[EngineCore<'_>]) -> usize> DriveHooks for RouteOnly<F> {
-    fn route(&mut self, request: &Request, cores: &[EngineCore<'_>]) -> usize {
-        (self.0)(request, cores)
-    }
-}
-
 /// Drives one or more engine cores against an arrival stream until both
 /// are drained: the shared event loop of single-engine closed-loop runs
 /// and fleet-level (cluster) simulation.
@@ -1614,40 +1581,22 @@ impl<F: FnMut(&Request, &[EngineCore<'_>]) -> usize> DriveHooks for RouteOnly<F>
 pub fn drive(
     cores: &mut [EngineCore<'_>],
     stream: &mut ArrivalStream,
-    route: impl FnMut(&Request, &[EngineCore<'_>]) -> usize,
-) -> Result<()> {
-    drive_with(cores, stream, RouteOnly(route))
-}
-
-/// [`drive`] with full [`DriveHooks`] — the entry point fleet drivers use
-/// to observe pushes and completions incrementally.
-///
-/// # Errors
-///
-/// As for [`drive`].
-pub fn drive_with(
-    cores: &mut [EngineCore<'_>],
-    stream: &mut ArrivalStream,
-    mut hooks: impl DriveHooks,
+    mut route: impl FnMut(&Request, &[EngineCore<'_>]) -> usize,
 ) -> Result<()> {
     assert!(!cores.is_empty(), "drive needs at least one core");
     let mut heap = ActionHeap::new(cores.len());
     for (i, core) in cores.iter().enumerate() {
         heap.set(i, core.next_action());
     }
-    // Completions drain into a scratch buffer reused across steps — the
-    // closed-loop feedback path allocates nothing per event.
-    let mut scratch: Vec<Completion> = Vec::new();
     loop {
         let action = heap.peek();
         let arrival = stream.peek();
         match (arrival, action) {
             (Some(ta), act) if act.is_none_or(|(_, t)| ta <= t) => {
                 let request = stream.pop();
-                let k = hooks.route(&request, cores).min(cores.len() - 1);
+                let k = route(&request, cores).min(cores.len() - 1);
                 cores[k].push(request);
                 heap.set(k, cores[k].next_action());
-                hooks.on_push(k, cores);
                 if stream.exhausted() {
                     for core in cores.iter_mut() {
                         core.close();
@@ -1660,12 +1609,9 @@ pub fn drive_with(
             (_, Some((i, _))) => {
                 cores[i].step()?;
                 heap.set(i, cores[i].next_action());
-                scratch.clear();
-                scratch.extend_from_slice(cores[i].drain_new());
-                for c in &scratch {
+                for c in cores[i].drain_new() {
                     stream.on_complete(c);
                 }
-                hooks.on_step(i, cores, &scratch);
             }
             // `(Some, None)` is caught by the first arm (its guard is
             // vacuously true with no pending action).
@@ -1678,15 +1624,12 @@ pub fn drive_with(
                 // partial batches. Flush the lowest stalled core and
                 // re-enter the loop (its completions may unblock clients).
                 let mut progressed = false;
-                for i in 0..cores.len() {
-                    if cores[i].flush_stalled()? {
-                        heap.set(i, cores[i].next_action());
-                        scratch.clear();
-                        scratch.extend_from_slice(cores[i].drain_new());
-                        for c in &scratch {
+                for (i, core) in cores.iter_mut().enumerate() {
+                    if core.flush_stalled()? {
+                        heap.set(i, core.next_action());
+                        for c in core.drain_new() {
                             stream.on_complete(c);
                         }
-                        hooks.on_step(i, cores, &scratch);
                         progressed = true;
                         break;
                     }
