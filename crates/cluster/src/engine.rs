@@ -461,7 +461,7 @@ mod tests {
     use cimtpu_core::TpuConfig;
     use cimtpu_serving::{
         ArrivalPattern, BatchPolicy, EngineCore, EngineSession, LenDist, PrefixTraffic,
-        ServingModel,
+        ServingModel, SloClass, TenantSpec,
     };
     use proptest::prelude::*;
 
@@ -479,12 +479,14 @@ mod tests {
     // ------------------------------------------------------------------
 
     /// Router snapshots rebuilt from the cores over the routable subset,
-    /// re-indexed `0..up.len()`.
+    /// re-indexed `0..up.len()`, with the per-class split scanned from
+    /// each core's ledger when the run is `classed` (multi-tenant).
     fn rebuild_snapshots(
         cores: &[EngineCore<'_>],
         up: &[usize],
         t: Seconds,
         assigned: &[u64],
+        classed: bool,
     ) -> Vec<ReplicaSnapshot> {
         up.iter()
             .enumerate()
@@ -494,7 +496,11 @@ mod tests {
                 queued: cores[k].queued(),
                 kv_frac: cores[k].kv_frac(),
                 assigned: assigned[k],
-                class_outstanding: [0; 3],
+                class_outstanding: if classed {
+                    cores[k].outstanding_by_class_at(t)
+                } else {
+                    [0; 3]
+                },
             })
             .collect()
     }
@@ -507,8 +513,10 @@ mod tests {
         traffic: &TrafficSpec,
         slo_ms: Option<f64>,
         plan: &FaultPlan,
+        sched: Option<&TenantSched>,
     ) -> Result<ClusterRun> {
         let recovery = *plan.recovery();
+        let classed = sched.is_some_and(|s| s.classes.len() > 1);
         let timeline = fault_timeline(plan, replicas.len())?;
         let mut next_fault = 0usize;
 
@@ -518,6 +526,11 @@ mod tests {
             .collect::<Result<_>>()?;
         let mut cores: Vec<EngineCore<'_>> =
             sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
+        if let Some(sched) = sched {
+            for core in &mut cores {
+                core.set_tenancy(sched);
+            }
+        }
         let mut stream = ArrivalStream::new(traffic)?;
         let offered = stream.total();
         let mut router = policy.build();
@@ -634,6 +647,9 @@ mod tests {
                 0 => {
                     for k in health.advance(now, recovery.warmup) {
                         cores[k] = sessions[k].core()?;
+                        if let Some(sched) = sched {
+                            cores[k].set_tenancy(sched);
+                        }
                         stale[k] = false;
                         last_push[k] = f64::NEG_INFINITY;
                         if slowdown[k] != 1.0 {
@@ -778,7 +794,7 @@ mod tests {
                             continue;
                         }
                     }
-                    let snaps = rebuild_snapshots(&cores, &up, now, &assigned);
+                    let snaps = rebuild_snapshots(&cores, &up, now, &assigned, classed);
                     let pos = router.route(&r, &snaps).min(up.len() - 1);
                     let k = up[pos];
                     assigned[k] += 1;
@@ -869,13 +885,29 @@ mod tests {
         [base, closed]
     }
 
-    const POLICIES: [RouterPolicy; 6] = [
+    /// Three tenants, one per SLO class, over open-loop traffic.
+    fn tenants(seed: u64) -> TenantSet {
+        let [base, _] = traffics(seed);
+        let tenant = |name: &str, class: SloClass, weight: f64, salt: u64| {
+            let traffic = TrafficSpec { requests: 8, seed: seed ^ salt, ..base.clone() };
+            TenantSpec::new(name, class, weight, traffic)
+        };
+        TenantSet::new(vec![
+            tenant("i", SloClass::Interactive, 4.0, 0x11),
+            tenant("s", SloClass::Standard, 2.0, 0x22),
+            tenant("b", SloClass::Batch, 1.0, 0x33),
+        ])
+        .unwrap()
+    }
+
+    const POLICIES: [RouterPolicy; 7] = [
         RouterPolicy::PassThrough,
         RouterPolicy::RoundRobin,
         RouterPolicy::LeastOutstanding,
         RouterPolicy::LeastKv,
         RouterPolicy::SessionAffinity,
         RouterPolicy::PrefixAffinity,
+        RouterPolicy::SloAware,
     ];
 
     proptest! {
@@ -885,7 +917,11 @@ mod tests {
         /// router policy, open- and closed-loop traffic, and every kind
         /// of plan: none (immediate deliveries, tracker pass-through), a
         /// benign ×1 straggler, scripted crash + straggler, and seeded
-        /// chaos (deferred deliveries, re-indexed routable subsets).
+        /// chaos (deferred deliveries, re-indexed routable subsets). A
+        /// three-tenant run pits the loop's classed tracker against the
+        /// oracle's per-decision ledger scan (what `SloAware` reads); the
+        /// oracle keeps no tenant ledger, so that report section is
+        /// left out of the comparison.
         #[test]
         fn fleet_loop_matches_scan_oracle(seed in 0u64..1_000) {
             let fleet = mixed_fleet();
@@ -920,11 +956,31 @@ mod tests {
                         )
                         .unwrap();
                         let slow = run_colocated_faulty_oracle(
-                            &fleet, policy, "eq", &traffic, Some(50.0), plan,
+                            &fleet, policy, "eq", &traffic, Some(50.0), plan, None,
                         )
                         .unwrap();
                         prop_assert_eq!(&fast, &slow, "policy {}", policy.name());
                     }
+                }
+            }
+            let set = tenants(seed);
+            let merged = set.merged_spec().unwrap();
+            let sched = set.sched();
+            for plan in [&FaultPlan::none(), &benign, &scripted, &chaos] {
+                for policy in POLICIES {
+                    let mut ledger = TenantLedger::new(&set, &merged);
+                    let tenancy = Tenancy { sched: &sched, ledger: &mut ledger };
+                    let mut fast = run_colocated(
+                        &fleet, policy, "eq", &merged, Some(50.0), plan, None, Some(tenancy),
+                        None,
+                    )
+                    .unwrap();
+                    prop_assert!(fast.report.tenants.take().is_some());
+                    let slow = run_colocated_faulty_oracle(
+                        &fleet, policy, "eq", &merged, Some(50.0), plan, Some(&sched),
+                    )
+                    .unwrap();
+                    prop_assert_eq!(&fast, &slow, "tenanted, policy {}", policy.name());
                 }
             }
         }

@@ -307,7 +307,6 @@ pub(crate) struct Fleet<'s, 't> {
     deliveries: BinaryHeap<MinBy<(TimeKey, u64), (usize, Completion)>>,
     seq: u64,
     pub(crate) tenancy: Option<Tenancy<'t>>,
-    classed: bool,
     pub(crate) trace: Option<FleetTrace>,
     pub(crate) ledger: Ledger,
     /// Original arrivals of requests whose pushed `arrival_s` differs
@@ -381,7 +380,6 @@ pub(crate) fn run_colocated(
         defer,
         copies: defer || elastic.is_some(),
         routers: pools.iter().map(|_| router.build()).collect(),
-        classed: tenancy.as_ref().is_some_and(Tenancy::multi),
         specs,
         sessions: &sessions,
         cores,
@@ -396,7 +394,11 @@ pub(crate) fn run_colocated(
         slow_since: vec![f64::NAN; n],
         last_push: vec![f64::NEG_INFINITY; n],
         heap,
-        tracker: SnapshotTracker::new(n),
+        tracker: if tenancy.as_ref().is_some_and(Tenancy::multi) {
+            SnapshotTracker::classed(n)
+        } else {
+            SnapshotTracker::new(n)
+        },
         stream,
         final_arrival: None,
         exhausted_closed: false,
@@ -855,10 +857,19 @@ impl<'s, 't> Fleet<'s, 't> {
     /// selected (at least one).
     pub(crate) fn pick(&mut self, pool: usize, all: bool, r: &Request) -> usize {
         let members: &[usize] = if all { &self.pools[pool] } else { &self.up };
-        if self.classed {
-            self.tracker.refresh_classes(&self.cores, members);
-        }
         let snaps = self.tracker.snapshots();
+        #[cfg(debug_assertions)]
+        if self.tenancy.as_ref().is_some_and(Tenancy::multi) {
+            // The tracker's incremental class split must match a scan of
+            // each routed core's ledger.
+            let now = self.tracker.now();
+            for &k in members {
+                let split = snaps[k].class_outstanding;
+                let scanned = self.cores[k].outstanding_by_class_at(now);
+                assert_eq!(split, scanned, "slot {k} at {now:?}");
+                assert_eq!(split.iter().sum::<u64>(), snaps[k].outstanding, "slot {k} at {now:?}");
+            }
+        }
         if all {
             return self.routers[pool].route(r, snaps).min(snaps.len() - 1);
         }
@@ -982,7 +993,7 @@ impl<'s, 't> Fleet<'s, 't> {
             core.push(r);
         }
         self.heap.set(k, core.next_action());
-        self.tracker.on_push(k, core.queued());
+        self.tracker.on_push_classed(k, core.queued(), r.class);
     }
 
     fn step(&mut self, k: usize, now: Seconds) -> Result<()> {
@@ -1004,11 +1015,14 @@ impl<'s, 't> Fleet<'s, 't> {
     /// Reschedules slot `k` after it stepped or flushed, and delivers (or
     /// queues) the completions it produced.
     fn collect(&mut self, k: usize) {
-        self.heap.set(k, self.cores[k].next_action());
+        let core = &mut self.cores[k];
+        self.heap.set(k, core.next_action());
+        let (queued, kv_frac) = (core.queued(), core.kv_frac());
+        let (done, classes) = core.drain_new_classed();
+        self.tracker.on_step_classed(k, queued, kv_frac, done, classes);
         let mut new = std::mem::take(&mut self.scratch);
         new.clear();
-        new.extend_from_slice(self.cores[k].drain_new());
-        self.tracker.on_step(k, self.cores[k].queued(), self.cores[k].kv_frac(), &new);
+        new.extend_from_slice(done);
         for &c in &new {
             if self.defer {
                 self.deliveries.push(MinBy((TimeKey(c.finish.get()), self.seq), (k, c)));

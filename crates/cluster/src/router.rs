@@ -51,7 +51,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use cimtpu_serving::{Completion, EngineCore, Request};
+use cimtpu_serving::{Completion, EngineCore, Request, SloClass};
 use cimtpu_units::Seconds;
 
 /// What a router sees about one replica at a routing instant.
@@ -70,9 +70,13 @@ pub struct ReplicaSnapshot {
     /// Requests ever assigned to this replica.
     pub assigned: u64,
     /// Outstanding requests split by SLO class rank (interactive,
-    /// standard, batch) at this instant. Maintained only when a run is
-    /// multi-tenant — single-tenant drivers leave the zeros, and every
-    /// policy except [`RouterPolicy::SloAware`] ignores the field.
+    /// standard, batch) at this instant; sums to `outstanding` when
+    /// maintained. Only a [`classed`](SnapshotTracker::classed) tracker
+    /// maintains it — incrementally, on every push, step and expiry — and
+    /// the fleet loop builds one only for multi-tenant runs. Single-tenant
+    /// runs (including untenanted traces with mixed classes) keep the
+    /// zeros, and every policy except [`RouterPolicy::SloAware`] ignores
+    /// the field.
     pub class_outstanding: [u64; 3],
 }
 
@@ -431,20 +435,44 @@ impl Ord for TimeKey {
 /// that can move them. A replica whose core is replaced (a crash restart
 /// or an elastic boot) is [`reset`](SnapshotTracker::reset): its pending
 /// expiry entries are stamped with an older epoch and skipped.
+///
+/// A [`classed`](SnapshotTracker::classed) tracker — what multi-tenant
+/// runs build — applies the same identity per SLO class to maintain
+/// [`ReplicaSnapshot::class_outstanding`]: a push adds one to its
+/// request's class, and each expiry entry carries its completion's class
+/// rank (packed into the epoch word, so entries stay 24 bytes) and
+/// subtracts from that class when it expires. Feed a classed tracker
+/// through [`on_push_classed`](SnapshotTracker::on_push_classed) and
+/// [`on_step_classed`](SnapshotTracker::on_step_classed). A tracker built
+/// with [`new`](SnapshotTracker::new) leaves every split at zero.
 #[derive(Debug)]
 pub struct SnapshotTracker {
     snaps: Vec<ReplicaSnapshot>,
-    /// Scheduled completions not yet counted out of `outstanding`, stamped
-    /// with the replica's epoch at push time.
+    /// Scheduled completions not yet counted out of `outstanding`: finish,
+    /// replica, and a `tag` of the replica's epoch at push time with the
+    /// completion's class rank.
     expiry: BinaryHeap<Reverse<(TimeKey, usize, u64)>>,
     /// Per-replica incarnation counter, bumped by `reset`.
     epochs: Vec<u64>,
+    /// Whether the per-class split is maintained.
+    classed: bool,
     /// The last routing instant (monotone; debug-asserted).
     now: Seconds,
 }
 
+/// Low bits of an expiry tag that hold the class rank (ranks are 0..3).
+const RANK_BITS: u32 = 2;
+const RANK_MASK: u64 = (1 << RANK_BITS) - 1;
+
+/// Packs a replica epoch and a class rank into one expiry-heap word.
+fn tag(epoch: u64, rank: usize) -> u64 {
+    (epoch << RANK_BITS) | rank as u64
+}
+
 impl SnapshotTracker {
-    /// A tracker over `replicas` idle replicas.
+    /// A tracker over `replicas` idle replicas that leaves
+    /// [`ReplicaSnapshot::class_outstanding`] at zero (single-tenant
+    /// runs).
     pub fn new(replicas: usize) -> Self {
         SnapshotTracker {
             snaps: (0..replicas)
@@ -459,8 +487,15 @@ impl SnapshotTracker {
                 .collect(),
             expiry: BinaryHeap::new(),
             epochs: vec![0; replicas],
+            classed: false,
             now: Seconds::ZERO,
         }
+    }
+
+    /// A tracker over `replicas` idle replicas that also maintains the
+    /// per-class outstanding split (multi-tenant runs; see the type docs).
+    pub fn classed(replicas: usize) -> Self {
+        SnapshotTracker { classed: true, ..Self::new(replicas) }
     }
 
     /// The last routing instant.
@@ -477,13 +512,17 @@ impl SnapshotTracker {
     pub fn advance_to(&mut self, t: Seconds) {
         debug_assert!(t >= self.now, "routing instants regressed: {t:?} < {:?}", self.now);
         self.now = t;
-        while let Some(&Reverse((TimeKey(finish), k, epoch))) = self.expiry.peek() {
+        while let Some(&Reverse((TimeKey(finish), k, tag))) = self.expiry.peek() {
             if finish > t.get() {
                 break;
             }
             self.expiry.pop();
-            if epoch == self.epochs[k] {
-                self.snaps[k].outstanding -= 1;
+            if tag >> RANK_BITS == self.epochs[k] {
+                let s = &mut self.snaps[k];
+                s.outstanding -= 1;
+                if self.classed {
+                    s.class_outstanding[(tag & RANK_MASK) as usize] -= 1;
+                }
             }
         }
     }
@@ -495,22 +534,27 @@ impl SnapshotTracker {
     }
 
     /// Rewinds routing time to `t < now` by rebuilding the outstanding
-    /// sets from the cores' completion ledgers — the slow exact path for
-    /// the one event that moves routing instants backwards (a stall
-    /// flush, see the type docs). `O(total completions)`, paid only when
-    /// a regression actually happens; `assigned` counts are preserved
-    /// (they are cumulative, not time-indexed).
+    /// sets (and, when classed, their per-class split) from the cores'
+    /// completion ledgers — the slow exact path for the one event that
+    /// moves routing instants backwards (a stall flush, see the type
+    /// docs). `O(total completions)`, paid only when a regression
+    /// actually happens; `assigned` counts are preserved (they are
+    /// cumulative, not time-indexed).
     pub fn resync(&mut self, t: Seconds, cores: &[EngineCore<'_>]) {
         self.now = t;
         self.expiry.clear();
         for (k, core) in cores.iter().enumerate() {
             let s = &mut self.snaps[k];
             s.outstanding = core.outstanding_at(t);
+            if self.classed {
+                s.class_outstanding = core.outstanding_by_class_at(t);
+            }
             s.queued = core.queued();
             s.kv_frac = core.kv_frac();
-            for c in core.completions() {
+            for (c, class) in core.completions().iter().zip(core.completion_classes()) {
                 if c.finish > t {
-                    self.expiry.push(Reverse((TimeKey(c.finish.get()), k, self.epochs[k])));
+                    let entry = (TimeKey(c.finish.get()), k, tag(self.epochs[k], class.rank()));
+                    self.expiry.push(Reverse(entry));
                 }
             }
         }
@@ -518,8 +562,9 @@ impl SnapshotTracker {
 
     /// Forgets replica `k`'s current incarnation: its core was replaced by
     /// a fresh one (empty queue, no completions, empty allocator). The
-    /// counts restart from zero and the old core's pending expiries are
-    /// invalidated; `assigned` keeps counting across incarnations.
+    /// counts and their class split restart from zero and the old core's
+    /// pending expiries are invalidated; `assigned` keeps counting across
+    /// incarnations.
     pub fn reset(&mut self, k: usize) {
         self.epochs[k] += 1;
         let s = &mut self.snaps[k];
@@ -529,42 +574,62 @@ impl SnapshotTracker {
         s.class_outstanding = [0; 3];
     }
 
-    /// Refreshes the per-class outstanding split of each replica in
-    /// `members` from its core's ledger at the current routing instant.
-    /// Multi-tenant drivers call this for the routable replicas before
-    /// consulting a router; single-tenant runs skip it (the zeros stand,
-    /// and no policy reads them), keeping the tracker's `O(1)`-per-event
-    /// path intact. `O(members × residents + future completions)` per
-    /// call — paid only when tenancy is armed.
-    pub fn refresh_classes(&mut self, cores: &[EngineCore<'_>], members: &[usize]) {
-        for &k in members {
-            self.snaps[k].class_outstanding = cores[k].outstanding_by_class_at(self.now);
-        }
+    /// Records a request pushed into replica `k` (whose queue depth is
+    /// now `queued`) on an unclassed tracker.
+    pub fn on_push(&mut self, k: usize, queued: u64) {
+        debug_assert!(!self.classed, "a classed tracker needs each push's class");
+        self.on_push_classed(k, queued, SloClass::Standard);
     }
 
-    /// Records a request pushed into replica `k` (whose queue depth is
-    /// now `queued`).
-    pub fn on_push(&mut self, k: usize, queued: u64) {
+    /// [`on_push`](SnapshotTracker::on_push) for a request of `class`,
+    /// which a classed tracker counts into the replica's split.
+    pub fn on_push_classed(&mut self, k: usize, queued: u64, class: SloClass) {
         let s = &mut self.snaps[k];
         s.assigned += 1;
         s.outstanding += 1;
         s.queued = queued;
+        if self.classed {
+            s.class_outstanding[class.rank()] += 1;
+        }
     }
 
-    /// Records a scheduling step on replica `k`: refreshed queue depth
-    /// and KV occupancy, plus the completions the step scheduled (each
-    /// stays outstanding until routing time passes its finish).
+    /// Records a scheduling step on replica `k` of an unclassed tracker:
+    /// refreshed queue depth and KV occupancy, plus the completions the
+    /// step scheduled (each stays outstanding until routing time passes
+    /// its finish).
     pub fn on_step(&mut self, k: usize, queued: u64, kv_frac: f64, new: &[Completion]) {
+        debug_assert!(!self.classed, "a classed tracker needs each completion's class");
+        self.on_step_classed(k, queued, kv_frac, new, &[]);
+    }
+
+    /// [`on_step`](SnapshotTracker::on_step) with the class of each new
+    /// completion, index-aligned with `new` (see
+    /// [`EngineCore::drain_new_classed`]); an unclassed tracker ignores
+    /// `classes`.
+    pub fn on_step_classed(
+        &mut self,
+        k: usize,
+        queued: u64,
+        kv_frac: f64,
+        new: &[Completion],
+        classes: &[SloClass],
+    ) {
+        debug_assert!(!self.classed || classes.len() == new.len());
         let s = &mut self.snaps[k];
         s.queued = queued;
         s.kv_frac = kv_frac;
-        for c in new {
+        for (i, c) in new.iter().enumerate() {
+            let rank = if self.classed { classes[i].rank() } else { 0 };
             if c.finish.get() > self.now.get() {
-                self.expiry.push(Reverse((TimeKey(c.finish.get()), k, self.epochs[k])));
+                let entry = (TimeKey(c.finish.get()), k, tag(self.epochs[k], rank));
+                self.expiry.push(Reverse(entry));
             } else {
                 // Already in the past at the current routing instant:
                 // it would expire on the next advance anyway.
                 s.outstanding -= 1;
+                if self.classed {
+                    s.class_outstanding[rank] -= 1;
+                }
             }
         }
     }
@@ -783,6 +848,126 @@ mod tests {
             assert_eq!(*got, ReplicaSnapshot { assigned: got.assigned, ..*want });
         }
         assert_eq!(tracker.snapshots()[1].assigned, 3);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A classed tracker fed by tenancy-armed continuous and static
+        /// cores keeps every replica's class split equal to a scan of its
+        /// core's ledger, and summing to `outstanding`, at every instant:
+        /// across pushes of mixed classes, steps, a crash restart
+        /// (`reset`), a `resync` rewind, and the final drain.
+        #[test]
+        fn classed_tracker_matches_ledger_scan(
+            reqs in proptest::collection::vec(
+                (0usize..3, 0usize..2, 1u64..40, 1u64..8, 0.0f64..2e-4),
+                4..20,
+            ),
+            crash in (0usize..20, 0usize..2),
+            rewind_at in 1usize..20,
+        ) {
+            use crate::ReplicaSpec;
+            use cimtpu_serving::{BatchPolicy, EngineSession, ServingModel, TenantSched};
+            use proptest::{prop_assert, prop_assert_eq};
+
+            let spec = |policy| {
+                let model = ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer());
+                ReplicaSpec::new("r", cimtpu_core::TpuConfig::tpuv4i(), model).with_policy(policy)
+            };
+            let specs = [
+                spec(BatchPolicy::Continuous { max_batch: 4 }),
+                spec(BatchPolicy::Static { batch: 2 }),
+            ];
+            let sessions: Vec<EngineSession> =
+                specs.iter().map(|s| EngineSession::new(&s.engine().unwrap()).unwrap()).collect();
+            let classes = [SloClass::Interactive, SloClass::Standard, SloClass::Batch];
+            let sched = TenantSched { classes: classes.to_vec(), weights: vec![4.0, 2.0, 1.0] };
+            let fresh = |k: usize| {
+                let mut core = sessions[k].core().unwrap();
+                core.set_tenancy(&sched);
+                core
+            };
+            let mut cores: Vec<EngineCore<'_>> = (0..2).map(fresh).collect();
+            let mut tracker = SnapshotTracker::classed(2);
+            let check = |tracker: &SnapshotTracker, cores: &[EngineCore<'_>]| {
+                let now = tracker.now();
+                for (s, core) in tracker.snapshots().iter().zip(cores) {
+                    prop_assert_eq!(s.class_outstanding, core.outstanding_by_class_at(now));
+                    prop_assert_eq!(s.class_outstanding.iter().sum::<u64>(), s.outstanding);
+                }
+            };
+            let push = |tracker: &mut SnapshotTracker, core: &mut EngineCore<'_>, k, r: Request| {
+                core.push(r);
+                tracker.on_push_classed(k, core.queued(), r.class);
+            };
+            let step = |tracker: &mut SnapshotTracker, core: &mut EngineCore<'_>, k| {
+                core.step().unwrap();
+                let (queued, kv_frac) = (core.queued(), core.kv_frac());
+                let (done, classes) = core.drain_new_classed();
+                tracker.on_step_classed(k, queued, kv_frac, done, classes);
+            };
+            // The core with the earliest next action at or before `until`.
+            let due = |cores: &[EngineCore<'_>], until: f64| {
+                (0..cores.len())
+                    .filter_map(|k| cores[k].next_action().map(|t| (k, t.get())))
+                    .filter(|&(_, t)| t <= until)
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+            };
+
+            let mut t = 0.0;
+            for (i, &(class, k, prompt_len, steps, gap)) in reqs.iter().enumerate() {
+                let prev = t;
+                t += gap;
+                while let Some((j, _)) = due(&cores, t) {
+                    step(&mut tracker, &mut cores[j], j);
+                    check(&tracker, &cores);
+                }
+                tracker.advance_to(Seconds::new(t));
+                check(&tracker, &cores);
+                let class = classes[class];
+                let r = Request {
+                    arrival_s: t,
+                    prompt_len,
+                    steps,
+                    tenant: class.rank() as u32,
+                    class,
+                    ..req(i as u64, i as u64)
+                };
+                push(&mut tracker, &mut cores[k], k, r);
+                check(&tracker, &cores);
+                if i == crash.0 {
+                    // The replica crashes and restarts at once; its lost
+                    // requests retry on the replacement core.
+                    let k = crash.1;
+                    let lost = cores[k].crash(Seconds::new(t));
+                    cores[k] = fresh(k);
+                    tracker.reset(k);
+                    for r in lost {
+                        push(&mut tracker, &mut cores[k], k, Request { arrival_s: t, ..r });
+                    }
+                    check(&tracker, &cores);
+                }
+                if i == rewind_at {
+                    // A stall-flush rewind to the previous routing instant.
+                    tracker.resync(Seconds::new(prev), &cores);
+                    check(&tracker, &cores);
+                }
+            }
+            for core in &mut cores {
+                core.close();
+            }
+            while let Some((j, at)) = due(&cores, f64::INFINITY) {
+                step(&mut tracker, &mut cores[j], j);
+                tracker.advance_to(Seconds::new(at).max(tracker.now()));
+                check(&tracker, &cores);
+            }
+            let end =
+                cores.iter().flat_map(|c| c.completions()).fold(t, |m, c| m.max(c.finish.get()));
+            tracker.advance_to(Seconds::new(end));
+            check(&tracker, &cores);
+            prop_assert!(tracker.snapshots().iter().all(|s| s.outstanding == 0));
+        }
     }
 
     #[test]

@@ -591,7 +591,10 @@ impl<'a> EngineCore<'a> {
     /// Requests in flight at simulated time `t`, broken out by service
     /// tier (indexed by [`SloClass::rank`]; untenanted requests count as
     /// their default `Standard` class). Entries always sum to
-    /// [`outstanding_at`](Self::outstanding_at).
+    /// [`outstanding_at`](Self::outstanding_at). A scan of every arrival
+    /// and completion so far: routers read the same split from an
+    /// incrementally maintained tracker, which rebuilds from this only
+    /// when routing time rewinds.
     pub fn outstanding_by_class_at(&self, t: Seconds) -> [u64; 3] {
         let mut out = [0u64; 3];
         match &self.tenancy {
@@ -655,12 +658,25 @@ impl<'a> EngineCore<'a> {
         &self.completions
     }
 
+    /// The service tier of each completion, index-aligned with
+    /// [`completions`](Self::completions) (untenanted requests carry their
+    /// default `Standard` class).
+    pub fn completion_classes(&self) -> &[SloClass] {
+        &self.comp_class
+    }
+
     /// Completions produced since the last drain (for feeding closed-loop
     /// arrival streams).
     pub fn drain_new(&mut self) -> &[Completion] {
+        self.drain_new_classed().0
+    }
+
+    /// [`drain_new`](Self::drain_new) plus the class of each drained
+    /// completion, index-aligned with it.
+    pub fn drain_new_classed(&mut self) -> (&[Completion], &[SloClass]) {
         let from = self.drained;
         self.drained = self.completions.len();
-        &self.completions[from..]
+        (&self.completions[from..], &self.comp_class[from..])
     }
 
     /// Total chip energy so far.

@@ -2,8 +2,10 @@
 //!
 //! Bands are intentionally loose (our substrate is a calibrated analytical
 //! simulator, not the authors' testbed): we assert *who wins, by roughly
-//! what factor, and where the crossovers fall* — see EXPERIMENTS.md for
-//! the exact paper-vs-measured numbers.
+//! what factor, and where the crossovers fall*. The exact measured-vs-paper
+//! numbers come from simbench's claims module (`simbench/src/claims.rs`),
+//! which prints them as `headline claims (measured vs paper)` and reports
+//! their mean relative gap as the `paper_gap_pct` metric.
 
 use cimtpu::prelude::*;
 
