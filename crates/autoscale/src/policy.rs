@@ -117,8 +117,8 @@ pub struct AutoscalePolicy {
     pub interval: Seconds,
     /// Machine-provisioning delay a scale-up pays before warmup starts.
     pub provision: Seconds,
-    /// Warmup a fresh replica pays after provisioning (weight load plus a
-    /// cold `MappingCache`) before it turns `Up` and routable.
+    /// Warmup a fresh replica pays after provisioning (a simulated
+    /// weight-load delay) before it turns `Up` and routable.
     pub warmup: Seconds,
     /// Idle power per chip, in watts — prices the chip-seconds a replica
     /// is held but not computing, so elastic and static fleets compare on

@@ -8,9 +8,9 @@
 //! loop applies:
 //!
 //! * **scale-up** — the lowest offline slot starts provisioning
-//!   (`provision` delay), then warms (`warmup`: weight load plus a cold
-//!   `MappingCache` — the slot gets a *fresh* core at warmup start), then
-//!   turns `Up` and routable. The slot is *held* — and paid for in
+//!   (`provision` delay), then warms (`warmup`: a simulated weight-load
+//!   delay — the slot gets a *fresh* core at warmup start), then turns
+//!   `Up` and routable. The slot is *held* — and paid for in
 //!   chip-seconds — from the decision instant.
 //! * **scale-down / scale-to-zero** — the highest routable slot stops
 //!   taking arrivals and drains: its core is closed so in-flight work

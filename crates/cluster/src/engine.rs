@@ -460,9 +460,10 @@ mod tests {
 
     use cimtpu_core::TpuConfig;
     use cimtpu_serving::{
-        ArrivalPattern, BatchPolicy, EngineCore, EngineSession, LenDist, PrefixTraffic,
-        ServingModel, SloClass, TenantSpec,
+        ArrivalPattern, BatchPolicy, EngineCore, EngineSession, LenDist, MemoryConfig,
+        PrefixTraffic, ServingModel, SloClass, TenantSpec,
     };
+    use cimtpu_units::Bytes;
     use proptest::prelude::*;
 
     use super::*;
@@ -869,6 +870,25 @@ mod tests {
         ]
     }
 
+    /// A four-replica fleet built to catch a too-coarse session dedupe:
+    /// two identical twins (which share one session), a near-twin that
+    /// differs only in its KV budget, and one that differs only in chip.
+    /// Replica 0 is a twin, so the scripted crash restarts a core from a
+    /// session its twin keeps pricing through.
+    fn twin_fleet() -> Vec<ReplicaSpec> {
+        let twin = |name: &str| {
+            ReplicaSpec::new(name, TpuConfig::tpuv4i(), tiny())
+                .with_policy(BatchPolicy::Continuous { max_batch: 4 })
+        };
+        vec![
+            twin("twin-0"),
+            twin("twin-1"),
+            twin("near")
+                .with_memory(MemoryConfig::unlimited().with_budget_bytes(Bytes::from_kib(64))),
+            ReplicaSpec { chip: TpuConfig::design_a(), ..twin("chip") },
+        ]
+    }
+
     fn traffics(seed: u64) -> [TrafficSpec; 2] {
         let base = TrafficSpec {
             requests: 24,
@@ -921,67 +941,74 @@ mod tests {
         /// three-tenant run pits the loop's classed tracker against the
         /// oracle's per-decision ledger scan (what `SloAware` reads); the
         /// oracle keeps no tenant ledger, so that report section is
-        /// left out of the comparison.
+        /// left out of the comparison. Both fleets run: the mixed-policy
+        /// one, and the twin fleet whose identical replicas share one
+        /// session in the loop but not in the oracle.
         #[test]
         fn fleet_loop_matches_scan_oracle(seed in 0u64..1_000) {
-            let fleet = mixed_fleet();
-            let benign = FaultPlan::none().with_event(FaultEvent::Straggler {
-                replica: 1,
+            for fleet in [mixed_fleet(), twin_fleet()] {
+                check_fleet_against_oracle(&fleet, seed);
+            }
+        }
+    }
+
+    fn check_fleet_against_oracle(fleet: &[ReplicaSpec], seed: u64) {
+        let benign = FaultPlan::none().with_event(FaultEvent::Straggler {
+            replica: 1,
+            from: Seconds::new(0.000_2),
+            until: Seconds::new(0.002),
+            slowdown: 1.0,
+        });
+        let scripted = FaultPlan::none()
+            .with_event(FaultEvent::Crash {
+                at: Seconds::new(0.000_4),
+                replica: 0,
+                repair: Seconds::new(0.001),
+            })
+            .with_event(FaultEvent::Straggler {
+                replica: 2,
                 from: Seconds::new(0.000_2),
                 until: Seconds::new(0.002),
-                slowdown: 1.0,
+                slowdown: 3.0,
             });
-            let scripted = FaultPlan::none()
-                .with_event(FaultEvent::Crash {
-                    at: Seconds::new(0.000_4),
-                    replica: 0,
-                    repair: Seconds::new(0.001),
-                })
-                .with_event(FaultEvent::Straggler {
-                    replica: 2,
-                    from: Seconds::new(0.000_2),
-                    until: Seconds::new(0.002),
-                    slowdown: 3.0,
-                });
-            let chaos = FaultPlan::seeded(seed ^ 0xFA417).with_chaos(ChaosSpec {
-                crashes: 2,
-                window: (Seconds::new(0.000_2), Seconds::new(0.003)),
-                repair: Seconds::new(0.002),
-            });
-            for traffic in traffics(seed) {
-                for plan in [&FaultPlan::none(), &benign, &scripted, &chaos] {
-                    for policy in POLICIES {
-                        let fast = run_colocated(
-                            &fleet, policy, "eq", &traffic, Some(50.0), plan, None, None, None,
-                        )
-                        .unwrap();
-                        let slow = run_colocated_faulty_oracle(
-                            &fleet, policy, "eq", &traffic, Some(50.0), plan, None,
-                        )
-                        .unwrap();
-                        prop_assert_eq!(&fast, &slow, "policy {}", policy.name());
-                    }
-                }
-            }
-            let set = tenants(seed);
-            let merged = set.merged_spec().unwrap();
-            let sched = set.sched();
+        let chaos = FaultPlan::seeded(seed ^ 0xFA417).with_chaos(ChaosSpec {
+            crashes: 2,
+            window: (Seconds::new(0.000_2), Seconds::new(0.003)),
+            repair: Seconds::new(0.002),
+        });
+        for traffic in traffics(seed) {
             for plan in [&FaultPlan::none(), &benign, &scripted, &chaos] {
                 for policy in POLICIES {
-                    let mut ledger = TenantLedger::new(&set, &merged);
-                    let tenancy = Tenancy { sched: &sched, ledger: &mut ledger };
-                    let mut fast = run_colocated(
-                        &fleet, policy, "eq", &merged, Some(50.0), plan, None, Some(tenancy),
-                        None,
+                    let fast = run_colocated(
+                        fleet, policy, "eq", &traffic, Some(50.0), plan, None, None, None,
                     )
                     .unwrap();
-                    prop_assert!(fast.report.tenants.take().is_some());
                     let slow = run_colocated_faulty_oracle(
-                        &fleet, policy, "eq", &merged, Some(50.0), plan, Some(&sched),
+                        fleet, policy, "eq", &traffic, Some(50.0), plan, None,
                     )
                     .unwrap();
-                    prop_assert_eq!(&fast, &slow, "tenanted, policy {}", policy.name());
+                    assert_eq!(&fast, &slow, "{}: policy {}", fleet[0].name, policy.name());
                 }
+            }
+        }
+        let set = tenants(seed);
+        let merged = set.merged_spec().unwrap();
+        let sched = set.sched();
+        for plan in [&FaultPlan::none(), &benign, &scripted, &chaos] {
+            for policy in POLICIES {
+                let mut ledger = TenantLedger::new(&set, &merged);
+                let tenancy = Tenancy { sched: &sched, ledger: &mut ledger };
+                let mut fast = run_colocated(
+                    fleet, policy, "eq", &merged, Some(50.0), plan, None, Some(tenancy),
+                    None,
+                )
+                .unwrap();
+                assert!(fast.report.tenants.take().is_some());
+                let slow = run_colocated_faulty_oracle(
+                    fleet, policy, "eq", &merged, Some(50.0), plan, Some(&sched),
+                )
+                .unwrap();
+                assert_eq!(&fast, &slow, "{}: tenanted, policy {}", fleet[0].name, policy.name());
             }
         }
     }

@@ -24,8 +24,10 @@ use serde::{Deserialize, Serialize};
 pub enum FaultEvent {
     /// The replica dies at `at`: every in-flight request and all of its
     /// KV/prefix blocks are lost. It restarts `repair` later with an
-    /// empty allocator and cold caches, then warms up for the recovery
-    /// policy's warmup before taking traffic again.
+    /// empty KV allocator, prefix index and batch state, then warms up
+    /// for the recovery policy's warmup before taking traffic again.
+    /// Pricing memos are host-side and survive the restart; they never
+    /// change simulated time.
     Crash {
         /// When the replica dies.
         at: Seconds,

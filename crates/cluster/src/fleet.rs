@@ -24,7 +24,7 @@ use cimtpu_autoscale::AutoscalePolicy;
 use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
 use cimtpu_serving::{
     ActionHeap, ArrivalStream, Completion, EngineCore, EngineSession, PrefixStats, Request,
-    ServingReport, TenantUsage, TrafficSpec,
+    ServingEngine, ServingReport, TenantUsage, TrafficSpec,
 };
 use cimtpu_units::{Error, Joules, Result, Seconds};
 
@@ -268,7 +268,10 @@ pub(crate) struct FleetTrace {
 /// The loop's state; see the [module docs](self).
 pub(crate) struct Fleet<'s, 't> {
     pub(crate) specs: Cow<'s, [ReplicaSpec]>,
+    /// One session per distinct replica engine; `session_of[k]` is slot
+    /// `k`'s.
     sessions: &'s [EngineSession],
+    session_of: Vec<usize>,
     pub(crate) cores: Vec<EngineCore<'s>>,
     /// `live[k]`: slot `k`'s core is active. A crashed core stays in
     /// `cores`, inert, until its replica restarts; an offline elastic
@@ -346,16 +349,13 @@ pub(crate) fn run_colocated(
         }
         None => (Cow::Borrowed(replicas), vec![(0..replicas.len()).collect()], None),
     };
-    let sessions: Vec<EngineSession> = specs
-        .iter()
-        .map(|s| EngineSession::new(&s.engine()?))
-        .collect::<Result<_>>()?;
+    let (sessions, session_of) = sessions_for(&specs)?;
     let n = specs.len();
     let timeline = fault_timeline(plan, n)?;
     let stream = ArrivalStream::new(traffic)?;
     let offered = stream.total();
     let mut cores: Vec<EngineCore<'_>> =
-        sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
+        session_of.iter().map(|&i| sessions[i].core()).collect::<Result<_>>()?;
     if let Some(t) = &tenancy {
         for core in &mut cores {
             core.set_tenancy(t.sched);
@@ -382,6 +382,7 @@ pub(crate) fn run_colocated(
         routers: pools.iter().map(|_| router.build()).collect(),
         specs,
         sessions: &sessions,
+        session_of,
         cores,
         live,
         pools,
@@ -464,6 +465,28 @@ pub(crate) fn run_colocated(
         session.persist_cache();
     }
     Ok(ClusterRun { report, replica_reports, completions: ledger.delivered, prefix })
+}
+
+/// One [`EngineSession`] per distinct replica engine, in order of first
+/// use, and each slot's session index. Identical replicas share their
+/// pricing state (mapping cache and phase memo), which is a pure function
+/// of the engine, so the fleet prices each configuration once.
+fn sessions_for(specs: &[ReplicaSpec]) -> Result<(Vec<EngineSession>, Vec<usize>)> {
+    let mut engines: Vec<ServingEngine> = Vec::new();
+    let mut sessions = Vec::new();
+    let mut session_of = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let engine = spec.engine()?;
+        session_of.push(match engines.iter().position(|e| *e == engine) {
+            Some(i) => i,
+            None => {
+                sessions.push(EngineSession::new(&engine)?);
+                engines.push(engine);
+                engines.len() - 1
+            }
+        });
+    }
+    Ok((sessions, session_of))
 }
 
 /// Event classes, in tie-break order.
@@ -655,10 +678,12 @@ impl<'s, 't> Fleet<'s, 't> {
         }
     }
 
-    /// Replaces slot `k`'s core with a fresh one (empty allocator, cold
-    /// caches): a crashed replica's repair, or an elastic boot.
+    /// Replaces slot `k`'s core with a fresh one (empty KV allocator,
+    /// prefix index and batch state): a crashed replica's repair, or an
+    /// elastic boot. Pricing memos live in the shared session and carry
+    /// over; they are host-side and never change simulated time.
     fn restart(&mut self, k: usize, now: Seconds) -> Result<()> {
-        self.cores[k] = self.sessions[k].core()?;
+        self.cores[k] = self.sessions[self.session_of[k]].core()?;
         if let Some(t) = &self.tenancy {
             self.cores[k].set_tenancy(t.sched);
         }

@@ -83,7 +83,7 @@
 //! # Faults
 //!
 //! The [`fault`] module injects failures into either topology: replica
-//! crashes (in-flight work and KV/prefix state lost, cold restart after
+//! crashes (in-flight work and KV/prefix state lost, restart after
 //! repair), straggler windows (multiplicative step-latency slowdown on
 //! colocated replicas), and degraded interconnect windows (bandwidth /
 //! energy multipliers on the disaggregated handoff link). A

@@ -296,7 +296,8 @@ pub enum ReplicaHealth {
         /// When the repair completes.
         until: Seconds,
     },
-    /// Restarted with cold caches; routable again at `until`.
+    /// Restarted with an empty KV allocator, prefix index and batch
+    /// state; routable again at `until`.
     Warming {
         /// When warmup ends.
         until: Seconds,
@@ -365,7 +366,7 @@ impl HealthView {
     /// order): a `Down` replica whose repair completed enters `Warming`
     /// for `warmup`, and a warmed replica comes back `Up`. Returns the
     /// replicas that restarted in this call — the driver rebuilds those
-    /// as fresh cores (empty allocator, cold caches).
+    /// as fresh cores (empty KV allocator, prefix index and batch state).
     pub fn advance(&mut self, now: Seconds, warmup: Seconds) -> Vec<usize> {
         let mut restarted = Vec::new();
         for (i, state) in self.states.iter_mut().enumerate() {

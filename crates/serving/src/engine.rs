@@ -48,8 +48,10 @@ impl Parallelism {
     }
 }
 
-/// A complete serving-simulation configuration.
-#[derive(Debug, Clone)]
+/// A complete serving-simulation configuration. Two equal engines
+/// price, batch and allocate identically, so they can share one
+/// [`EngineSession`](crate::EngineSession).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingEngine {
     chip: TpuConfig,
     model: ServingModel,

@@ -1,6 +1,7 @@
 //! Phase pricing for the serving loop: segment costs per (phase, batch,
 //! length), memoized on top of [`ExecutionContext`].
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -42,6 +43,9 @@ impl ServingModel {
 /// Memo key: phase tag + the shape knobs that vary at runtime (batch,
 /// length, and — for chunked prefill — the cached-context length).
 type Key = (u8, u64, u64, u64);
+/// Phase memo: cost per [`Key`]. An [`EngineSession`](crate::EngineSession)
+/// owns one and lends it to every core it builds.
+pub(crate) type PhaseMemo = RefCell<HashMap<Key, SegmentCost>>;
 const PREFILL: u8 = 0;
 const STEP: u8 = 1;
 const CHUNK: u8 = 2;
@@ -57,35 +61,45 @@ const CHUNK: u8 = 2;
 /// prefill/decode pools) can price phases against a replica without going
 /// through the full batching engine. Obtain one from
 /// [`EngineSession::pricer`](crate::EngineSession::pricer) or directly via
-/// [`PhasePricer::single`] / [`PhasePricer::tensor_parallel`].
+/// [`PhasePricer::single`] / [`PhasePricer::tensor_parallel`]; each of
+/// those starts with its own empty phase memo. The pricer inside an
+/// [`EngineSession::core`](crate::EngineSession::core) borrows its
+/// session's memo instead, so every core of one session shares it.
 #[derive(Debug)]
 pub struct PhasePricer<'a> {
     model: &'a ServingModel,
     cx: ExecutionContext<'a>,
     /// Tensor-parallel ring; `None` prices whole layers on `cx`'s chip.
     ring: Option<&'a MultiTpu>,
-    memo: RefCell<HashMap<Key, SegmentCost>>,
+    memo: Cow<'a, PhaseMemo>,
 }
 
 impl<'a> PhasePricer<'a> {
-    /// A pricer for `model` hosted on the single chip `sim` simulates.
+    /// A pricer for `model` hosted on the single chip `sim` simulates,
+    /// with a fresh memo.
     pub fn single(model: &'a ServingModel, sim: &'a Simulator) -> Self {
         PhasePricer {
             model,
             cx: sim.execution_context(),
             ring: None,
-            memo: RefCell::new(HashMap::new()),
+            memo: Cow::Owned(PhaseMemo::default()),
         }
     }
 
-    /// A pricer for `model` sharded across the tensor-parallel `ring`.
+    /// A pricer for `model` sharded across the tensor-parallel `ring`,
+    /// with a fresh memo.
     pub fn tensor_parallel(model: &'a ServingModel, ring: &'a MultiTpu) -> Self {
         PhasePricer {
             model,
             cx: ring.simulator().execution_context(),
             ring: Some(ring),
-            memo: RefCell::new(HashMap::new()),
+            memo: Cow::Owned(PhaseMemo::default()),
         }
+    }
+
+    /// This pricer over the borrowed `memo` in place of its own.
+    pub(crate) fn sharing(self, memo: &'a PhaseMemo) -> Self {
+        PhasePricer { memo: Cow::Borrowed(memo), ..self }
     }
 
     fn memoized(
@@ -214,6 +228,12 @@ impl<'a> PhasePricer<'a> {
     /// The hosted model.
     pub fn model(&self) -> &ServingModel {
         self.model
+    }
+
+    /// Number of memoized phase costs (tests only).
+    #[cfg(test)]
+    pub(crate) fn memo_len(&self) -> usize {
+        self.memo.borrow().len()
     }
 
     /// Latency of one step without the full cost (convenience for tests).

@@ -1,6 +1,7 @@
 //! An instantiated serving backend: the simulator (or tensor-parallel
-//! ring) a [`ServingEngine`] configuration prices against, owned so that
-//! incremental [`EngineCore`]s and [`PhasePricer`]s can borrow it.
+//! ring) a [`ServingEngine`] configuration prices against, and the phase
+//! memo its cores share, owned so that incremental [`EngineCore`]s and
+//! [`PhasePricer`]s can borrow them.
 
 use cimtpu_core::Simulator;
 use cimtpu_kv::{KvFootprint, PagedKvAllocator};
@@ -10,7 +11,7 @@ use cimtpu_units::{Error, Result};
 use crate::engine::{Parallelism, ServingEngine};
 use crate::memory::MemoryConfig;
 use crate::policy::BatchPolicy;
-use crate::pricer::{PhasePricer, ServingModel};
+use crate::pricer::{PhaseMemo, PhasePricer, ServingModel};
 use crate::step::EngineCore;
 
 #[derive(Debug)]
@@ -20,13 +21,13 @@ enum Backend {
 }
 
 /// One engine configuration instantiated against real pricing state: the
-/// chip simulator (or tensor-parallel ring), the hosted model, and the
-/// policy/memory configuration. The session owns what the borrowing
-/// front-ends need:
+/// chip simulator (or tensor-parallel ring), the phase memo, the hosted
+/// model, and the policy/memory configuration. The session owns what the
+/// borrowing front-ends need:
 ///
 /// - [`EngineSession::core`] — an incremental [`EngineCore`] running the
 ///   full batching engine (what [`ServingEngine::run`] drives, and what a
-///   cluster driver interleaves across replicas);
+///   cluster driver interleaves across replicas of one configuration);
 /// - [`EngineSession::pricer`] — a bare [`PhasePricer`] for drivers that
 ///   schedule phases themselves (the cluster crate's disaggregated
 ///   prefill/decode pools);
@@ -40,12 +41,16 @@ pub struct EngineSession {
     memory: MemoryConfig,
     parallelism: Parallelism,
     backend: Backend,
+    /// Phase costs shared by every core of this session. Pricing is a pure
+    /// function of the configuration and the key, so sharing never changes
+    /// a simulated result.
+    memo: PhaseMemo,
 }
 
 impl EngineSession {
     /// Instantiates `engine`'s backend (builds the simulator or ring; when
     /// `CIMTPU_CACHE_DIR` is set the underlying mapping cache loads from
-    /// disk).
+    /// disk) with an empty phase memo.
     ///
     /// # Errors
     ///
@@ -82,6 +87,7 @@ impl EngineSession {
             memory,
             parallelism,
             backend,
+            memo: PhaseMemo::default(),
         })
     }
 
@@ -105,8 +111,10 @@ impl EngineSession {
         self.parallelism
     }
 
-    /// A fresh phase pricer against this session's backend (fresh memo;
-    /// the per-operator `MappingCache` underneath is shared and warm).
+    /// A fresh phase pricer against this session's backend. Its phase memo
+    /// is its own and starts empty; only the per-operator `MappingCache`
+    /// underneath is shared (and warm). Cores use the session's shared
+    /// memo instead (see [`EngineSession::core`]).
     pub fn pricer(&self) -> PhasePricer<'_> {
         match &self.backend {
             Backend::Single(sim) => PhasePricer::single(&self.model, sim),
@@ -114,7 +122,12 @@ impl EngineSession {
         }
     }
 
-    /// A fresh incremental engine core over this session.
+    /// A fresh incremental engine core over this session: empty KV
+    /// allocators, prefix index and batch state. Its pricer borrows the
+    /// session's phase memo, so every core of one session (a fleet's
+    /// identical replicas, a crashed replica's restart) shares phase
+    /// costs: what one core priced, the others hit. Simulated results are
+    /// the same as with a fresh memo.
     ///
     /// # Errors
     ///
@@ -125,7 +138,7 @@ impl EngineSession {
         let allocs: Vec<PagedKvAllocator> =
             (0..executors).map(|_| self.allocator()).collect::<Result<_>>()?;
         Ok(EngineCore::new(
-            self.pricer(),
+            self.pricer().sharing(&self.memo),
             self.policy,
             self.memory,
             self.parallelism.chips(),
@@ -175,5 +188,62 @@ impl EngineSession {
             Backend::Single(sim) => sim.persist_cache(),
             Backend::Ring(ring) => ring.simulator().persist_cache(),
         };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cimtpu_core::{SegmentCost, TpuConfig};
+    use cimtpu_models::TransformerConfig;
+
+    use super::*;
+
+    fn session() -> EngineSession {
+        let engine = ServingEngine::new(
+            TpuConfig::tpuv4i(),
+            ServingModel::Llm(TransformerConfig::new("Tiny-2L", 2, 4, 256, 1024).unwrap()),
+            Parallelism::Replicated { chips: 1 },
+            BatchPolicy::Continuous { max_batch: 4 },
+        )
+        .unwrap();
+        EngineSession::new(&engine).unwrap()
+    }
+
+    fn costs(pricer: &PhasePricer<'_>) -> Vec<SegmentCost> {
+        let mut out = Vec::new();
+        for batch in [1, 3] {
+            out.push(pricer.prefill(batch, 32).unwrap());
+            out.push(pricer.prefill_chunk(batch, 16, 48).unwrap());
+            out.push(pricer.step(batch, 40).unwrap());
+        }
+        out
+    }
+
+    #[test]
+    fn cores_of_one_session_share_the_phase_memo() {
+        let shared = session();
+        let first = shared.core().unwrap();
+        let priced = costs(first.pricer());
+        let size = first.pricer().memo_len();
+        assert_eq!(size, priced.len());
+
+        // A second core (a twin replica, or a restart) hits every query.
+        let second = shared.core().unwrap();
+        assert_eq!(second.pricer().memo_len(), size, "the memo is shared");
+        assert_eq!(costs(second.pricer()), priced);
+        assert_eq!(second.pricer().memo_len(), size, "second core's queries are hits");
+
+        // Same costs as a core of a fresh session pricing from scratch.
+        let fresh = session();
+        let cold = fresh.core().unwrap();
+        assert_eq!(cold.pricer().memo_len(), 0);
+        assert_eq!(costs(cold.pricer()), priced);
+
+        // A bare pricer keeps its own memo, empty at the start.
+        let bare = shared.pricer();
+        assert_eq!(bare.memo_len(), 0);
+        assert_eq!(costs(&bare), priced);
+        assert_eq!(bare.memo_len(), size);
+        assert_eq!(first.pricer().memo_len(), size, "a bare pricer never fills the session memo");
     }
 }

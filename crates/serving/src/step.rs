@@ -178,6 +178,12 @@ enum RtcPlan {
 }
 
 impl<'a> EngineCore<'a> {
+    /// The core's phase pricer (tests only).
+    #[cfg(test)]
+    pub(crate) fn pricer(&self) -> &PhasePricer<'a> {
+        &self.pricer
+    }
+
     pub(crate) fn new(
         pricer: PhasePricer<'a>,
         policy: BatchPolicy,
@@ -474,8 +480,10 @@ impl<'a> EngineCore<'a> {
     ///
     /// The core is inert afterwards — [`next_action`](Self::next_action)
     /// returns `None` and [`is_done`](Self::is_done) holds — and the
-    /// driver models the restart by building a fresh core (empty
-    /// allocator, cold caches) from the session after the repair delay.
+    /// driver models the restart by building a fresh core (empty KV
+    /// allocator, prefix index and batch state) from the session after
+    /// the repair delay. The new core shares the session's phase memo,
+    /// which is host-side and never changes simulated time.
     ///
     /// # Panics
     ///
