@@ -28,10 +28,21 @@
 //! clock). Decode then proceeds continuous-batching style: one step per
 //! round at the live batch size and the longest member context.
 //!
+//! # Event loop
+//!
+//! One discrete-event loop drives both pools. Events at one instant
+//! resolve in a fixed order: fault transitions, arrivals, retry fires,
+//! prefill batches, decode rounds, then lowest replica index. An
+//! [`ActionHeap`] keeps the units' next actions, prefill unit `i` in
+//! slot `i` and decode unit `j` in slot `prefill.len() + j`.
+//!
 //! # Faults
 //!
-//! A non-empty [`FaultPlan`] switches to the
-//! failure-aware driver. Two fault kinds apply here:
+//! The loop is fault-aware throughout, and a [`FaultPlan`] is data: an
+//! empty plan schedules no crash and opens no link window, so every
+//! handoff routes over the whole decode pool, no request is retried,
+//! and the report omits the availability section. Two fault kinds
+//! apply here:
 //!
 //! - **Decode-replica crashes.** Everything resident on or inbound to
 //!   the replica is lost and its paged allocator is emptied; the replica
@@ -39,7 +50,7 @@
 //!   sees it again. Faults land on scheduling-round boundaries: a decode
 //!   round that started before the crash completes atomically and its
 //!   completions stand. Each lost request retries under the plan's
-//!   [`RecoveryPolicy`](crate::fault::RecoveryPolicy): if the source
+//!   [`RecoveryPolicy`]: if the source
 //!   prefill replica still holds the cache (its post-transfer release
 //!   has not fired), the retry **re-hands-off** — a second transfer,
 //!   always cheaper than recomputing the prefill *and* transferring —
@@ -63,10 +74,11 @@ use cimtpu_serving::{
 use cimtpu_units::{Bandwidth, Bytes, Error, Joules, Result, Seconds};
 
 use crate::engine::{release_client, tenant_tag, Tenancy};
-use crate::fault::{AvailabilityStats, FaultEvent, FaultPlan};
+use crate::fault::{AvailabilityStats, FaultEvent, FaultPlan, RecoveryPolicy};
+use crate::fleet::{sessions_for, settle, tenant_report, CrashRecord};
 use crate::replica::ReplicaSpec;
 use crate::report::{ClusterReport, KvTransferStats, ReplicaUtilization};
-use crate::router::{HealthView, ReplicaHealth, ReplicaSnapshot, RouterPolicy};
+use crate::router::{HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy};
 use crate::ClusterRun;
 
 /// The link KV caches migrate over between prefill and decode replicas:
@@ -123,8 +135,9 @@ struct PrefillUnit<'a> {
     cap: usize,
     free_at: Seconds,
     queue: std::collections::VecDeque<Request>,
-    /// KV holdings awaiting their outbound transfer, sorted by release
-    /// time (ties by request id — transfer scheduling order).
+    /// KV holdings awaiting their outbound transfer, in release-time
+    /// order: each transfer ends when the egress link next frees, so
+    /// pushes arrive sorted.
     pending_release: Vec<(Seconds, u64)>,
     /// When this replica's egress link frees.
     link_free: Seconds,
@@ -487,327 +500,276 @@ impl PoolTrace {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // one call site, from the engine dispatch
+/// A disaggregated fleet: the two pools, their routers and the link
+/// between them.
+#[derive(Clone, Copy)]
+pub(crate) struct Pools<'a> {
+    pub(crate) prefill: &'a [ReplicaSpec],
+    pub(crate) decode: &'a [ReplicaSpec],
+    /// Arrival routing, across the prefill pool.
+    pub(crate) router: RouterPolicy,
+    /// KV-handoff routing, across the decode pool.
+    pub(crate) decode_router: RouterPolicy,
+    pub(crate) interconnect: InterconnectSpec,
+}
+
+/// What a pipeline run hands back to [`Pools::serve`] for settling.
+struct Served {
+    offered: u64,
+    /// Completions against their original arrivals, in any order.
+    completions: Vec<Completion>,
+    transfers: KvTransferStats,
+    avail: AvailabilityStats,
+    crash_log: Vec<CrashRecord>,
+}
+
+impl<'a> Pools<'a> {
+    /// Every replica, the prefill pool first.
+    fn replicas(&self) -> impl Iterator<Item = &'a ReplicaSpec> {
+        self.prefill.iter().chain(self.decode)
+    }
+
+    /// Validates the pools, builds their sessions (`sessions` returns
+    /// them with each replica's session index) and units, runs `drive`
+    /// over the units, then settles the run and builds its report. Every
+    /// unit keeps its own phase memo. The report carries an availability
+    /// section when `faults` is set.
+    fn serve(
+        &self,
+        label: &str,
+        slo_ms: Option<f64>,
+        faults: bool,
+        sessions: impl FnOnce(&Self) -> Result<(Vec<EngineSession>, Vec<usize>)>,
+        drive: impl for<'s> FnOnce(
+            &mut [PrefillUnit<'s>],
+            &mut [DecodeUnit<'s>],
+            KvFootprint,
+        ) -> Result<Served>,
+    ) -> Result<ClusterRun> {
+        let reference = validate_pool_replica(&self.prefill[0], "prefill")?.clone();
+        let pool_members = self
+            .prefill
+            .iter()
+            .map(|s| (s, "prefill"))
+            .chain(self.decode.iter().map(|s| (s, "decode")));
+        for (spec, role) in pool_members {
+            let model = validate_pool_replica(spec, role)?;
+            if *model != reference {
+                return Err(Error::invalid_config(format!(
+                    "disaggregated pools must host one common model: '{}' hosts {}, \
+                     expected {}",
+                    spec.name,
+                    model.name(),
+                    reference.name()
+                )));
+            }
+        }
+        let (sessions, session_of) = sessions(self)?;
+        let (p_of, d_of) = session_of.split_at(self.prefill.len());
+        let mut punits: Vec<PrefillUnit<'_>> = self
+            .prefill
+            .iter()
+            .zip(p_of)
+            .map(|(spec, &s)| {
+                Ok(PrefillUnit {
+                    pricer: sessions[s].pricer(),
+                    alloc: sessions[s].allocator()?,
+                    cap: spec.policy.max_concurrency() as usize,
+                    free_at: Seconds::ZERO,
+                    queue: std::collections::VecDeque::new(),
+                    pending_release: Vec::new(),
+                    link_free: Seconds::ZERO,
+                    busy: Seconds::ZERO,
+                    energy: Joules::ZERO,
+                    prefills: 0,
+                })
+            })
+            .collect::<Result<_>>()?;
+        let mut dunits: Vec<DecodeUnit<'_>> = self
+            .decode
+            .iter()
+            .zip(d_of)
+            .map(|(spec, &s)| {
+                Ok(DecodeUnit {
+                    pricer: sessions[s].pricer(),
+                    alloc: sessions[s].allocator()?,
+                    cap: spec.policy.max_concurrency() as usize,
+                    t: Seconds::ZERO,
+                    pending: Vec::new(),
+                    active: Vec::new(),
+                    busy: Seconds::ZERO,
+                    energy: Joules::ZERO,
+                    queue_full: Seconds::ZERO,
+                    completed: 0,
+                })
+            })
+            .collect::<Result<_>>()?;
+
+        // The cache that crosses the wire is the full (unsharded)
+        // footprint, whatever the pool sharding.
+        let Served { offered, mut completions, transfers, mut avail, crash_log } =
+            drive(&mut punits, &mut dunits, KvFootprint::of(&reference))?;
+        completions.sort_by_key(|c| c.id);
+        settle(&mut avail, &crash_log, &completions, offered, session_of.len())?;
+
+        let mut rows = Vec::with_capacity(session_of.len());
+        let mut chip_energy = Joules::ZERO;
+        let mut queue_full_s = 0.0;
+        let row = |spec: &ReplicaSpec,
+                   role: &str,
+                   requests,
+                   busy: Seconds,
+                   energy: Joules,
+                   alloc: &PagedKvAllocator| {
+            ReplicaUtilization {
+                name: spec.name.clone(),
+                model: spec.model.name().to_owned(),
+                role: role.to_owned(),
+                chips: spec.chips(),
+                requests,
+                busy_s: busy.get(),
+                utilization: 0.0,
+                energy_j: energy.get(),
+                kv_hwm_frac: alloc.high_water_frac(),
+            }
+        };
+        for (spec, unit) in self.prefill.iter().zip(&punits) {
+            chip_energy += unit.energy;
+            rows.push(row(spec, "prefill", unit.prefills, unit.busy, unit.energy, &unit.alloc));
+        }
+        for (spec, unit) in self.decode.iter().zip(&dunits) {
+            chip_energy += unit.energy;
+            queue_full_s += unit.queue_full.get();
+            rows.push(row(spec, "decode", unit.completed, unit.busy, unit.energy, &unit.alloc));
+        }
+        let report = ClusterReport::build(
+            label,
+            "disaggregated",
+            format!("{}\u{2192}{}", self.router.name(), self.decode_router.name()),
+            offered,
+            &completions,
+            chip_energy,
+            0, // worst-case decode reservation: the pools never preempt
+            queue_full_s,
+            transfers,
+            rows,
+            slo_ms,
+            faults.then_some(avail),
+        );
+        for session in &sessions {
+            session.persist_cache();
+        }
+        Ok(ClusterRun {
+            report,
+            replica_reports: Vec::new(),
+            completions,
+            prefix: cimtpu_serving::PrefixStats::default(),
+        })
+    }
+}
+
+/// The plan's decode-pool crashes `(at, replica, repair)` in time order
+/// and its degraded-link windows `(from, until, bandwidth factor, energy
+/// factor)`. Crash events index the decode pool: prefill replicas are
+/// the stateless front of the pipeline and cannot crash.
+type Timeline = (Vec<(Seconds, usize, Seconds)>, Vec<(Seconds, Seconds, f64, f64)>);
+
+fn timeline(plan: &FaultPlan, decode: usize) -> Result<Timeline> {
+    let (mut crashes, mut windows) = (Vec::new(), Vec::new());
+    for event in plan.resolve(decode)? {
+        match event {
+            FaultEvent::Crash { at, replica, repair } => crashes.push((at, replica, repair)),
+            FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
+                windows.push((from, until, bandwidth_factor, energy_factor));
+            }
+            FaultEvent::Straggler { .. } => {
+                return Err(Error::invalid_config(
+                    "straggler faults apply to colocated replicas; disaggregated pools price \
+                     whole phases — degrade the link instead",
+                ));
+            }
+        }
+    }
+    crashes.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
+    Ok((crashes, windows))
+}
+
+/// Runs a disaggregated fleet under the fault plan (see the
+/// [module docs](self)).
+///
+/// # Errors
+///
+/// Returns an error for an invalid pool, traffic or plan, an engine
+/// error, a KV budget too small for one request, a stalled closed loop,
+/// or a conservation violation.
 pub(crate) fn run_disaggregated(
-    prefill: &[ReplicaSpec],
-    decode: &[ReplicaSpec],
-    router: RouterPolicy,
-    decode_router: RouterPolicy,
-    interconnect: InterconnectSpec,
+    pools: Pools<'_>,
     label: &str,
     traffic: &TrafficSpec,
     slo_ms: Option<f64>,
     plan: &FaultPlan,
-    tenancy: Option<Tenancy<'_>>,
+    mut tenancy: Option<Tenancy<'_>>,
     recorder: Option<&SharedRecorder>,
 ) -> Result<ClusterRun> {
-    if plan.is_empty() {
-        // Zero-fault runs take the untouched driver, bit-for-bit.
-        run_disaggregated_plain(
-            prefill, decode, router, decode_router, interconnect, label, traffic, slo_ms, tenancy,
-            recorder,
-        )
-    } else {
-        run_disaggregated_faulty(
-            prefill, decode, router, decode_router, interconnect, label, traffic, slo_ms, plan,
-            tenancy, recorder,
-        )
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // one call site, from the dispatch above
-fn run_disaggregated_plain(
-    prefill: &[ReplicaSpec],
-    decode: &[ReplicaSpec],
-    router: RouterPolicy,
-    decode_router: RouterPolicy,
-    interconnect: InterconnectSpec,
-    label: &str,
-    traffic: &TrafficSpec,
-    slo_ms: Option<f64>,
-    tenancy: Option<Tenancy<'_>>,
-    recorder: Option<&SharedRecorder>,
-) -> Result<ClusterRun> {
-    // The pools run FCFS/continuous-batching queues, not `EngineCore`, so
-    // a multi-tenant run keeps tenant identity at the traffic and report
-    // level: classed router snapshots, tagged trace events, and the
-    // per-tenant ledger — no WFQ inside the pools.
-    let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
-    let trace = recorder.map(|rec| PoolTrace::attach(rec, prefill, decode));
-    let reference = validate_pool_replica(&prefill[0], "prefill")?.clone();
-    let pool_members = prefill
-        .iter()
-        .map(|s| (s, "prefill"))
-        .chain(decode.iter().map(|s| (s, "decode")));
-    for (spec, role) in pool_members {
-        let model = validate_pool_replica(spec, role)?;
-        if *model != reference {
-            return Err(Error::invalid_config(format!(
-                "disaggregated pools must host one common model: '{}' hosts {}, \
-                 expected {}",
-                spec.name,
-                model.name(),
-                reference.name()
-            )));
-        }
-    }
-    // The cache that crosses the wire is the full (unsharded) footprint,
-    // whatever the pool sharding.
-    let full_fp = KvFootprint::of(&reference);
-
-    let p_sessions: Vec<EngineSession> = prefill
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
-    let d_sessions: Vec<EngineSession> = decode
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
-    let mut punits: Vec<PrefillUnit<'_>> = p_sessions
-        .iter()
-        .zip(prefill)
-        .map(|(s, spec)| {
-            Ok(PrefillUnit {
-                pricer: s.pricer(),
-                alloc: s.allocator()?,
-                cap: spec.policy.max_concurrency() as usize,
-                free_at: Seconds::ZERO,
-                queue: std::collections::VecDeque::new(),
-                pending_release: Vec::new(),
-                link_free: Seconds::ZERO,
-                busy: Seconds::ZERO,
-                energy: Joules::ZERO,
-                prefills: 0,
-            })
-        })
-        .collect::<Result<_>>()?;
-    let mut dunits: Vec<DecodeUnit<'_>> = d_sessions
-        .iter()
-        .zip(decode)
-        .map(|(s, spec)| {
-            Ok(DecodeUnit {
-                pricer: s.pricer(),
-                alloc: s.allocator()?,
-                cap: spec.policy.max_concurrency() as usize,
-                t: Seconds::ZERO,
-                pending: Vec::new(),
-                active: Vec::new(),
-                busy: Seconds::ZERO,
-                energy: Joules::ZERO,
-                queue_full: Seconds::ZERO,
-                completed: 0,
-            })
-        })
-        .collect::<Result<_>>()?;
-
-    let mut stream = ArrivalStream::new(traffic)?;
-    let offered = stream.total();
-    let mut arouter = router.build();
-    let mut drouter = decode_router.build();
-    let mut p_assigned = vec![0u64; prefill.len()];
-    let mut d_assigned = vec![0u64; decode.len()];
-    let mut transfers = KvTransferStats::default();
-    let mut completions: Vec<Completion> = Vec::new();
-
-    // One event queue spans both pools: prefill unit `i` owns slot `i`,
-    // decode unit `j` slot `prefill.len() + j`, so the heap's
-    // (time, lowest-slot) order reproduces the old scan's
-    // arrival → prefill → decode, lowest-index tie-break exactly.
-    // Arrivals are compared outside the heap and win ties.
-    let pn = punits.len();
-    let mut heap = ActionHeap::new(pn + dunits.len());
-    for (i, u) in punits.iter().enumerate() {
-        heap.set(i, u.candidate());
-    }
-    for (j, u) in dunits.iter().enumerate() {
-        heap.set(pn + j, u.candidate());
-    }
-    // Router-view scratch, reused across events instead of collected anew.
-    let mut psnaps: Vec<ReplicaSnapshot> = Vec::with_capacity(punits.len());
-    let mut dsnaps: Vec<ReplicaSnapshot> = Vec::with_capacity(dunits.len());
-
-    loop {
-        let unit_at = heap.peek();
-        let chosen: Option<(u8, usize)> = match (stream.peek(), unit_at) {
-            (Some(ta), act) if act.is_none_or(|(_, t)| ta <= t) => Some((0, 0)),
-            (_, Some((slot, _))) => {
-                Some(if slot < pn { (1, slot) } else { (2, slot - pn) })
+    let trace = recorder.map(|rec| PoolTrace::attach(rec, pools.prefill, pools.decode));
+    let (crashes, windows) = timeline(plan, pools.decode.len())?;
+    let sessions = |p: &Pools<'_>| sessions_for(p.replicas());
+    let mut run =
+        pools.serve(label, slo_ms, !plan.is_empty(), sessions, |punits, dunits, full_fp| {
+            let stream = ArrivalStream::new(traffic)?;
+            // A multi-tenant run keeps tenant identity at the traffic and
+            // report level (classed router snapshots, tagged trace events, the
+            // per-tenant ledger): the pools run FCFS/continuous-batching
+            // queues, not `EngineCore`, so there is no WFQ inside them.
+            let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
+            let mut heap = ActionHeap::new(punits.len() + dunits.len());
+            for (i, u) in punits.iter().enumerate() {
+                heap.set(i, u.candidate());
             }
-            (_, None) => None,
-        };
-        let Some((class, idx)) = chosen else {
-            if stream.exhausted() {
-                break;
+            for (j, u) in dunits.iter().enumerate() {
+                heap.set(punits.len() + j, u.candidate());
             }
-            return Err(Error::invalid_config(
-                "disaggregated driver stalled: requests pending but no unit can act",
-            ));
-        };
-        match class {
-            0 => {
-                let request = stream.pop();
-                psnaps.clear();
-                psnaps.extend(
-                    punits.iter().enumerate().map(|(i, u)| u.snapshot(i, p_assigned[i], classed)),
-                );
-                let k = arouter.route(&request, &psnaps).min(punits.len() - 1);
-                p_assigned[k] += 1;
-                if let Some(tr) = &trace {
-                    tr.rec.borrow_mut().request_arrival_for(
-                        tr.ptracks[k],
-                        request.id,
-                        request.arrival_s,
-                        tenant_tag(&tenancy, request.id),
-                    );
-                }
-                punits[k].queue.push_back(request);
-                if let Some(tr) = &trace {
-                    tr.sample_prefill(k, request.arrival(), &punits[k]);
-                }
-                heap.set(k, punits[k].candidate());
+            Pipeline {
+                psnaps: Vec::with_capacity(punits.len()),
+                dsnaps: Vec::with_capacity(dunits.len()),
+                p_assigned: vec![0; punits.len()],
+                d_assigned: vec![0; dunits.len()],
+                health: HealthView::all_up(dunits.len()),
+                punits,
+                dunits,
+                full_fp,
+                interconnect: pools.interconnect,
+                windows,
+                crashes,
+                next_crash: 0,
+                recovery: *plan.recovery(),
+                arouter: pools.router.build(),
+                drouter: pools.decode_router.build(),
+                up: Vec::new(),
+                classed,
+                heap,
+                stream,
+                waiting: Vec::new(),
+                origin: HashMap::new(),
+                attempts_of: HashMap::new(),
+                transfers: KvTransferStats::default(),
+                avail: AvailabilityStats::zero(),
+                crash_log: Vec::new(),
+                completions: Vec::new(),
+                tenancy: &mut tenancy,
+                trace,
             }
-            1 => {
-                let batch = punits[idx].step()?;
-                for req in batch.members {
-                    // Route the handoff, serialize it on this replica's
-                    // egress link, and gate the decode admission on the
-                    // target's allocator (via its pending queue).
-                    dsnaps.clear();
-                    dsnaps.extend(
-                        dunits
-                            .iter()
-                            .enumerate()
-                            .map(|(i, u)| u.snapshot(i, d_assigned[i], classed)),
-                    );
-                    let k = drouter.route(&req, &dsnaps).min(dunits.len() - 1);
-                    d_assigned[k] += 1;
-                    let bytes =
-                        full_fp.handoff_bytes(req.prompt_len, punits[idx].alloc.block_tokens());
-                    let duration = interconnect.transfer_time(bytes);
-                    let t_start = batch.end.max(punits[idx].link_free);
-                    let t_end = t_start + duration;
-                    punits[idx].link_free = t_end;
-                    punits[idx].pending_release.push((t_end, req.id));
-                    transfers.record(bytes.get(), duration, interconnect.transfer_energy(bytes));
-                    if let Some(tr) = &trace {
-                        let mut rec = tr.rec.borrow_mut();
-                        rec.span(
-                            tr.ptracks[idx],
-                            EventKind::Prefill,
-                            req.id,
-                            batch.start.get(),
-                            batch.end.get(),
-                        );
-                        rec.span(
-                            tr.ptracks[idx],
-                            EventKind::KvHandoff,
-                            req.id,
-                            t_start.get(),
-                            t_end.get(),
-                        );
-                    }
-                    dunits[k].pending.push(PendingDecode {
-                        req,
-                        first_token: batch.end,
-                        ready: t_end,
-                    });
-                    heap.set(pn + k, dunits[k].candidate());
-                }
-                if let Some(tr) = &trace {
-                    tr.sample_prefill(idx, batch.end, &punits[idx]);
-                }
-                heap.set(idx, punits[idx].candidate());
-            }
-            _ => {
-                let finished = dunits[idx].step()?;
-                heap.set(pn + idx, dunits[idx].candidate());
-                for c in &finished {
-                    stream.on_complete(c);
-                }
-                if let Some(tr) = &trace {
-                    {
-                        let mut rec = tr.rec.borrow_mut();
-                        for c in &finished {
-                            rec.complete_for(
-                                tr.dtracks[idx],
-                                c.id,
-                                c.finish.get(),
-                                c.latency().as_millis(),
-                                c.ttft().as_millis(),
-                                tenant_tag(&tenancy, c.id),
-                            );
-                        }
-                    }
-                    tr.sample_decode(idx, dunits[idx].t, &dunits[idx]);
-                }
-                completions.extend(finished);
-            }
-        }
-    }
-
-    completions.sort_by_key(|c| c.id);
-    let mut rows = Vec::with_capacity(prefill.len() + decode.len());
-    let mut chip_energy = Joules::ZERO;
-    let mut queue_full_s = 0.0;
-    for (spec, unit) in prefill.iter().zip(&punits) {
-        chip_energy += unit.energy;
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "prefill".to_owned(),
-            chips: spec.chips(),
-            requests: unit.prefills,
-            busy_s: unit.busy.get(),
-            utilization: 0.0,
-            energy_j: unit.energy.get(),
-            kv_hwm_frac: unit.alloc.high_water_frac(),
-        });
-    }
-    for (spec, unit) in decode.iter().zip(&dunits) {
-        chip_energy += unit.energy;
-        queue_full_s += unit.queue_full.get();
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "decode".to_owned(),
-            chips: spec.chips(),
-            requests: unit.completed,
-            busy_s: unit.busy.get(),
-            utilization: 0.0,
-            energy_j: unit.energy.get(),
-            kv_hwm_frac: unit.alloc.high_water_frac(),
-        });
-    }
-    let mut report = ClusterReport::build(
-        label,
-        "disaggregated",
-        format!("{}\u{2192}{}", router.name(), decode_router.name()),
-        offered,
-        &completions,
-        chip_energy,
-        0, // worst-case decode reservation: the pools never preempt
-        queue_full_s,
-        transfers,
-        rows,
-        slo_ms,
-        None,
-    );
+            .run()
+        })?;
     if let Some(t) = tenancy {
-        report.tenants = Some(t.ledger.report(&completions, report.makespan_s));
+        run.report.tenants = Some(tenant_report(t, &run.completions, run.report.makespan_s)?);
     }
-    for session in p_sessions.iter().chain(&d_sessions) {
-        session.persist_cache();
-    }
-    Ok(ClusterRun {
-        report,
-        replica_reports: Vec::new(),
-        completions,
-        prefix: cimtpu_serving::PrefixStats::default(),
-    })
+    Ok(run)
 }
 
 /// A request waiting to re-enter the disaggregated pipeline after a
 /// decode crash (or parked because the whole decode pool is down).
+#[derive(Clone, Copy)]
 struct DisaggRetry {
     /// When the retry fires.
     fire: Seconds,
@@ -821,139 +783,210 @@ struct DisaggRetry {
     first_token: Option<Seconds>,
 }
 
-/// One decode-replica crash on the books.
-struct DisaggCrash {
-    replica: usize,
-    at: Seconds,
-    up_again: Option<Seconds>,
-    first_completion: Option<Seconds>,
+/// The disaggregated event loop's state; see the [module docs](self).
+struct Pipeline<'u, 's, 't> {
+    punits: &'u mut [PrefillUnit<'s>],
+    dunits: &'u mut [DecodeUnit<'s>],
+    full_fp: KvFootprint,
+    interconnect: InterconnectSpec,
+    /// Degraded-link windows: `(from, until, bandwidth, energy)`.
+    windows: Vec<(Seconds, Seconds, f64, f64)>,
+    /// Scripted decode crashes `(at, replica, repair)`, in time order.
+    crashes: Vec<(Seconds, usize, Seconds)>,
+    next_crash: usize,
+    recovery: RecoveryPolicy,
+    /// The decode pool's health (the prefill pool is always up).
+    health: HealthView,
+    arouter: Box<dyn Router>,
+    drouter: Box<dyn Router>,
+    p_assigned: Vec<u64>,
+    d_assigned: Vec<u64>,
+    /// Router-view scratch, reused across routing decisions.
+    psnaps: Vec<ReplicaSnapshot>,
+    dsnaps: Vec<ReplicaSnapshot>,
+    /// The up decode replicas, gathered while some replica is not up.
+    up: Vec<usize>,
+    classed: bool,
+    heap: ActionHeap,
+    stream: ArrivalStream,
+    waiting: Vec<DisaggRetry>,
+    /// Original arrivals of recomputed requests (a recompute rewrites
+    /// `arrival_s` to its fire time).
+    origin: HashMap<u64, f64>,
+    attempts_of: HashMap<u64, u32>,
+    transfers: KvTransferStats,
+    avail: AvailabilityStats,
+    crash_log: Vec<CrashRecord>,
+    completions: Vec<Completion>,
+    tenancy: &'u mut Option<Tenancy<'t>>,
+    trace: Option<PoolTrace>,
 }
 
-#[allow(clippy::too_many_arguments)] // one call site, from the dispatch above
-fn run_disaggregated_faulty(
-    prefill: &[ReplicaSpec],
-    decode: &[ReplicaSpec],
-    router: RouterPolicy,
-    decode_router: RouterPolicy,
-    interconnect: InterconnectSpec,
-    label: &str,
-    traffic: &TrafficSpec,
-    slo_ms: Option<f64>,
-    plan: &FaultPlan,
-    mut tenancy: Option<Tenancy<'_>>,
-    recorder: Option<&SharedRecorder>,
-) -> Result<ClusterRun> {
-    let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
-    let trace = recorder.map(|rec| PoolTrace::attach(rec, prefill, decode));
-    let recovery = *plan.recovery();
-    // Crash events index the DECODE pool; prefill replicas are the
-    // stateless front of the pipeline here and cannot crash.
-    let mut crash_timeline: Vec<(Seconds, usize, Seconds)> = Vec::new();
-    let mut windows: Vec<(Seconds, Seconds, f64, f64)> = Vec::new();
-    for event in plan.resolve(decode.len())? {
-        match event {
-            FaultEvent::Crash { at, replica, repair } => crash_timeline.push((at, replica, repair)),
-            FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
-                windows.push((from, until, bandwidth_factor, energy_factor));
+impl Pipeline<'_, '_, '_> {
+    fn run(mut self) -> Result<Served> {
+        let pn = self.punits.len();
+        loop {
+            // The run is over when nothing can produce or receive work;
+            // trailing fault events on an idle fleet are dropped.
+            let unit_at = self.heap.peek();
+            if self.stream.exhausted() && self.waiting.is_empty() && unit_at.is_none() {
+                break;
             }
-            FaultEvent::Straggler { .. } => {
+            let mut best: Option<(Seconds, u8, usize)> = None;
+            let mut offer = |t: Seconds, class: u8, idx: usize| {
+                if best.is_none_or(|(bt, bc, bi)| t < bt || (t == bt && (class, idx) < (bc, bi))) {
+                    best = Some((t, class, idx));
+                }
+            };
+            let scripted = self.crashes.get(self.next_crash).map(|c| c.0);
+            match (scripted, self.health.next_transition()) {
+                (Some(a), Some(b)) => offer(a.min(b), 0, 0),
+                (Some(t), None) | (None, Some(t)) => offer(t, 0, 0),
+                (None, None) => {}
+            }
+            if let Some(ta) = self.stream.peek() {
+                offer(ta, 1, 0);
+            }
+            if let Some((i, w)) = self.waiting.iter().enumerate().min_by(|(ai, a), (bi, b)| {
+                (a.fire.get(), a.request.id, *ai)
+                    .partial_cmp(&(b.fire.get(), b.request.id, *bi))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            }) {
+                offer(w.fire, 2, i);
+            }
+            if let Some((slot, t)) = unit_at {
+                if slot < pn {
+                    offer(t, 3, slot);
+                } else {
+                    offer(t, 4, slot - pn);
+                }
+            }
+            let Some((now, class, idx)) = best else {
+                if self.stream.exhausted() {
+                    break;
+                }
                 return Err(Error::invalid_config(
-                    "straggler faults apply to colocated replicas; disaggregated pools price \
-                     whole phases — degrade the link instead",
+                    "disaggregated driver stalled: requests pending but no unit can act",
                 ));
+            };
+            match class {
+                0 => self.faults(now),
+                1 => {
+                    let request = self.stream.pop();
+                    let k = self.route_prefill(&request);
+                    if let Some(tr) = &self.trace {
+                        tr.rec.borrow_mut().request_arrival_for(
+                            tr.ptracks[k],
+                            request.id,
+                            request.arrival_s,
+                            tenant_tag(self.tenancy, request.id),
+                        );
+                    }
+                    self.punits[k].queue.push_back(request);
+                    if let Some(tr) = &self.trace {
+                        tr.sample_prefill(k, request.arrival(), &self.punits[k]);
+                    }
+                    self.heap.set(k, self.punits[k].candidate());
+                }
+                2 => self.fire(idx, now)?,
+                3 => {
+                    // Prefill batch: hand each member off.
+                    let batch = self.punits[idx].step()?;
+                    for request in batch.members {
+                        if let Some(tr) = &self.trace {
+                            tr.rec.borrow_mut().span(
+                                tr.ptracks[idx],
+                                EventKind::Prefill,
+                                request.id,
+                                batch.start.get(),
+                                batch.end.get(),
+                            );
+                        }
+                        let attempts = if self.attempts_of.is_empty() {
+                            0
+                        } else {
+                            self.attempts_of.get(&request.id).copied().unwrap_or(0)
+                        };
+                        let item = DisaggRetry {
+                            fire: batch.end,
+                            request,
+                            attempts,
+                            source: Some(idx),
+                            first_token: Some(batch.end),
+                        };
+                        self.handoff(idx, item, now)?;
+                    }
+                    if let Some(tr) = &self.trace {
+                        tr.sample_prefill(idx, batch.end, &self.punits[idx]);
+                    }
+                    self.heap.set(idx, self.punits[idx].candidate());
+                }
+                // Decode round (atomic: a crash never lands mid-round).
+                _ => self.decode(idx)?,
             }
         }
+        Ok(Served {
+            offered: self.stream.total(),
+            completions: self.completions,
+            transfers: self.transfers,
+            avail: self.avail,
+            crash_log: self.crash_log,
+        })
     }
-    crash_timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
-    let mut next_crash = 0usize;
 
-    let reference = validate_pool_replica(&prefill[0], "prefill")?.clone();
-    let pool_members = prefill
-        .iter()
-        .map(|s| (s, "prefill"))
-        .chain(decode.iter().map(|s| (s, "decode")));
-    for (spec, role) in pool_members {
-        let model = validate_pool_replica(spec, role)?;
-        if *model != reference {
-            return Err(Error::invalid_config(format!(
-                "disaggregated pools must host one common model: '{}' hosts {}, \
-                 expected {}",
-                spec.name,
-                model.name(),
-                reference.name()
-            )));
+    /// The request's original arrival.
+    fn orig(&self, r: &Request) -> f64 {
+        if self.origin.is_empty() {
+            return r.arrival_s;
         }
+        self.origin.get(&r.id).copied().unwrap_or(r.arrival_s)
     }
-    let full_fp = KvFootprint::of(&reference);
 
-    let p_sessions: Vec<EngineSession> = prefill
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
-    let d_sessions: Vec<EngineSession> = decode
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
-    let mut punits: Vec<PrefillUnit<'_>> = p_sessions
-        .iter()
-        .zip(prefill)
-        .map(|(s, spec)| {
-            Ok(PrefillUnit {
-                pricer: s.pricer(),
-                alloc: s.allocator()?,
-                cap: spec.policy.max_concurrency() as usize,
-                free_at: Seconds::ZERO,
-                queue: std::collections::VecDeque::new(),
-                pending_release: Vec::new(),
-                link_free: Seconds::ZERO,
-                busy: Seconds::ZERO,
-                energy: Joules::ZERO,
-                prefills: 0,
-            })
-        })
-        .collect::<Result<_>>()?;
-    let mut dunits: Vec<DecodeUnit<'_>> = d_sessions
-        .iter()
-        .zip(decode)
-        .map(|(s, spec)| {
-            Ok(DecodeUnit {
-                pricer: s.pricer(),
-                alloc: s.allocator()?,
-                cap: spec.policy.max_concurrency() as usize,
-                t: Seconds::ZERO,
-                pending: Vec::new(),
-                active: Vec::new(),
-                busy: Seconds::ZERO,
-                energy: Joules::ZERO,
-                queue_full: Seconds::ZERO,
-                completed: 0,
-            })
-        })
-        .collect::<Result<_>>()?;
+    /// Routes `r` across the (always-healthy) prefill pool.
+    fn route_prefill(&mut self, r: &Request) -> usize {
+        let (assigned, classed) = (&self.p_assigned, self.classed);
+        self.psnaps.clear();
+        self.psnaps.extend(
+            self.punits.iter().enumerate().map(|(i, u)| u.snapshot(i, assigned[i], classed)),
+        );
+        let k = self.arouter.route(r, &self.psnaps).min(self.punits.len() - 1);
+        self.p_assigned[k] += 1;
+        k
+    }
 
-    let mut stream = ArrivalStream::new(traffic)?;
-    let offered = stream.total();
-    let mut arouter = router.build();
-    let mut drouter = decode_router.build();
-    let mut p_assigned = vec![0u64; prefill.len()];
-    let mut d_assigned = vec![0u64; decode.len()];
-    let mut transfers = KvTransferStats::default();
-    let mut completions: Vec<Completion> = Vec::new();
-    let mut dhealth = HealthView::all_up(decode.len());
-    let mut waiting: Vec<DisaggRetry> = Vec::new();
-    let mut origin: HashMap<u64, f64> = HashMap::new();
-    let mut attempts_of: HashMap<u64, u32> = HashMap::new();
-    let mut avail = AvailabilityStats::zero();
-    let mut crash_log: Vec<DisaggCrash> = Vec::new();
+    /// Routes `r` across the up decode replicas; with every replica up,
+    /// the whole pool, indexed as is.
+    fn route_decode(&mut self, r: &Request, all: bool) -> usize {
+        let (assigned, classed) = (&self.d_assigned, self.classed);
+        self.dsnaps.clear();
+        let k = if all {
+            self.dsnaps.extend(
+                self.dunits.iter().enumerate().map(|(j, u)| u.snapshot(j, assigned[j], classed)),
+            );
+            self.drouter.route(r, &self.dsnaps).min(self.dunits.len() - 1)
+        } else {
+            let dunits = &self.dunits;
+            self.dsnaps.extend(
+                self.up
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, &k)| dunits[k].snapshot(pos, assigned[k], classed)),
+            );
+            self.up[self.drouter.route(r, &self.dsnaps).min(self.up.len() - 1)]
+        };
+        self.d_assigned[k] += 1;
+        k
+    }
 
-    // Transfer cost at `t_start`, with every open degraded-link window
-    // applied: wire time divided by the bandwidth factor (the hop stands),
-    // energy multiplied by the energy factor.
-    let priced_transfer = |t_start: Seconds, bytes: Bytes| -> (Seconds, Joules) {
-        let base = interconnect.transfer_time(bytes);
+    /// Transfer cost at `t_start`, with every open degraded-link window
+    /// applied: wire time divided by the bandwidth factor (the hop
+    /// stands), energy multiplied by the energy factor.
+    fn priced_transfer(&self, t_start: Seconds, bytes: Bytes) -> (Seconds, Joules) {
+        let link = &self.interconnect;
+        let base = link.transfer_time(bytes);
         let mut bw = 1.0;
         let mut en = 1.0;
-        for &(from, until, b, e) in &windows {
+        for &(from, until, b, e) in &self.windows {
             if t_start >= from && t_start < until {
                 bw *= b;
                 en *= e;
@@ -962,573 +995,283 @@ fn run_disaggregated_faulty(
         let duration = if bw == 1.0 {
             base
         } else {
-            interconnect.hop_latency
-                + Seconds::new((base - interconnect.hop_latency).get() / bw)
+            link.hop_latency + Seconds::new((base - link.hop_latency).get() / bw)
         };
-        (duration, Joules::new(interconnect.transfer_energy(bytes).get() * en))
-    };
-
-    // Hands one finished-prefill request off to a decode replica (a fresh
-    // handoff or a re-handoff): serializes on the source's egress link,
-    // holds the source cache until the transfer ends, and enqueues on the
-    // routed target. Returns the ready time.
-    // (Written as a macro-free block at both call sites below: the borrow
-    // sets differ.)
-
-    // One event queue spans both pools (prefill `i` → slot `i`, decode
-    // `j` → slot `pn + j`): its (time, lowest-slot) order reproduces the
-    // old scan's prefill → decode, lowest-index tie-break; the fault /
-    // arrival / retry classes are compared outside and win ties.
-    let pn = punits.len();
-    let mut unit_heap = ActionHeap::new(pn + dunits.len());
-    for (i, u) in punits.iter().enumerate() {
-        unit_heap.set(i, u.candidate());
-    }
-    for (j, u) in dunits.iter().enumerate() {
-        unit_heap.set(pn + j, u.candidate());
+        (duration, Joules::new(link.transfer_energy(bytes).get() * en))
     }
 
-    loop {
-        // The run is over when nothing can produce or receive work;
-        // trailing fault events on an idle fleet are dropped.
-        let unit_at = unit_heap.peek();
-        if stream.exhausted() && waiting.is_empty() && unit_at.is_none() {
-            break;
-        }
-
-        // Earliest event wins; ties resolve fault → arrival → retry →
-        // prefill → decode, then lowest index.
-        let mut best: Option<(Seconds, u8, usize)> = None;
-        let mut offer = |t: Seconds, class: u8, idx: usize| {
-            if best.is_none_or(|(bt, bc, bi)| t < bt || (t == bt && (class, idx) < (bc, bi))) {
-                best = Some((t, class, idx));
-            }
-        };
-        let scripted = (next_crash < crash_timeline.len()).then(|| crash_timeline[next_crash].0);
-        match (scripted, dhealth.next_transition()) {
-            (Some(a), Some(b)) => offer(a.min(b), 0, 0),
-            (Some(a), None) => offer(a, 0, 0),
-            (None, Some(b)) => offer(b, 0, 0),
-            (None, None) => {}
-        }
-        if let Some(ta) = stream.peek() {
-            offer(ta, 1, 0);
-        }
-        if let Some((i, w)) = waiting
-            .iter()
-            .enumerate()
-            .min_by(|(ai, a), (bi, b)| {
-                (a.fire.get(), a.request.id, *ai)
-                    .partial_cmp(&(b.fire.get(), b.request.id, *bi))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-        {
-            offer(w.fire, 2, i);
-        }
-        if let Some((slot, t)) = unit_at {
-            if slot < pn {
-                offer(t, 3, slot);
-            } else {
-                offer(t, 4, slot - pn);
-            }
-        }
-        let Some((now, class, idx)) = best else {
-            if stream.exhausted() {
-                break;
-            }
-            return Err(Error::invalid_config(
-                "disaggregated driver stalled: requests pending but no unit can act",
-            ));
-        };
-        match class {
-            // Faults: restores first, then crashes due now.
-            0 => {
-                for k in dhealth.advance(now, recovery.warmup) {
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().instant(tr.dtracks[k], EventKind::Repair, 0, now.get());
-                    }
-                }
-                for rec in crash_log.iter_mut() {
-                    if rec.up_again.is_none() && dhealth.is_up(rec.replica) {
-                        rec.up_again = Some(now);
-                    }
-                }
-                while next_crash < crash_timeline.len() && crash_timeline[next_crash].0 <= now {
-                    let (_, replica, repair) = crash_timeline[next_crash];
-                    next_crash += 1;
-                    if matches!(dhealth.state(replica), ReplicaHealth::Down { .. }) {
-                        continue; // already down: nothing left to kill
-                    }
-                    // Everything resident on or inbound to the replica is
-                    // lost; the allocator empties (high-water survives).
-                    let mut lost: Vec<(Request, Seconds)> = Vec::new();
-                    for p in dunits[replica].pending.drain(..) {
-                        lost.push((p.req, p.first_token));
-                    }
-                    for s in dunits[replica].active.drain(..) {
-                        lost.push((s.req, s.first_token));
-                    }
-                    dunits[replica].alloc.release_all();
-                    dhealth.mark_down(replica, now + repair);
-                    avail.crashes += 1;
-                    crash_log.push(DisaggCrash {
-                        replica,
-                        at: now,
-                        up_again: None,
-                        first_completion: None,
-                    });
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().instant(
-                            tr.dtracks[replica],
-                            EventKind::Crash,
-                            0,
-                            now.get(),
-                        );
-                    }
-                    for (r, ft) in lost {
-                        // Where is the cache now? If the source prefill
-                        // replica has not released the blocks yet, pin
-                        // them and re-handoff (transfer-only — always
-                        // cheaper than recompute + transfer); otherwise
-                        // the prompt recomputes through the prefill pool.
-                        let mut source = None;
-                        for (pi, pu) in punits.iter_mut().enumerate() {
-                            if let Some(pos) = pu
-                                .pending_release
-                                .iter()
-                                .position(|&(t, id)| id == r.id && t > now)
-                            {
-                                pu.pending_release.remove(pos);
-                                source = Some(pi);
-                                break;
-                            }
-                        }
-                        let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                        let attempts = attempts_of.get(&r.id).copied().unwrap_or(0) + 1;
-                        let drop_blocks =
-                            |punits: &mut Vec<PrefillUnit<'_>>, source: Option<usize>| {
-                                if let Some(p) = source {
-                                    punits[p].alloc.release(r.id);
-                                }
-                            };
-                        if attempts > recovery.max_attempts {
-                            avail.shed += 1;
-                            if let Some(t) = tenancy.as_mut() {
-                                t.ledger.on_shed(r.id);
-                            }
-                            if let Some(tr) = &trace {
-                                tr.rec.borrow_mut().instant_for(
-                                    tr.control,
-                                    EventKind::Shed,
-                                    r.id,
-                                    now.get(),
-                                    tenant_tag(&tenancy, r.id),
-                                );
-                            }
-                            drop_blocks(&mut punits, source);
-                            release_client(&mut stream, r.id, orig, now);
-                            continue;
-                        }
-                        let fire = now + recovery.backoff_for(attempts);
-                        if fire.get() > orig + recovery.deadline.get() {
-                            avail.timed_out += 1;
-                            if let Some(t) = tenancy.as_mut() {
-                                t.ledger.on_timeout(r.id);
-                            }
-                            if let Some(tr) = &trace {
-                                tr.rec.borrow_mut().instant_for(
-                                    tr.control,
-                                    EventKind::Timeout,
-                                    r.id,
-                                    now.get(),
-                                    tenant_tag(&tenancy, r.id),
-                                );
-                            }
-                            drop_blocks(&mut punits, source);
-                            release_client(&mut stream, r.id, orig, now);
-                            continue;
-                        }
-                        if let Some(tr) = &trace {
-                            tr.rec.borrow_mut().span_for(
-                                tr.control,
-                                EventKind::Retry,
-                                r.id,
-                                now.get(),
-                                fire.get(),
-                                tenant_tag(&tenancy, r.id),
-                            );
-                        }
-                        attempts_of.insert(r.id, attempts);
-                        waiting.push(DisaggRetry {
-                            fire,
-                            request: r,
-                            attempts,
-                            source,
-                            first_token: source.is_some().then_some(ft),
-                        });
-                    }
-                }
-                // A crash empties a decode unit and can unpin caches on
-                // any prefill unit (releases change their admission
-                // starts): refresh every slot. Fault events are rare, so
-                // the `O(fleet)` refresh is off the hot path.
-                for (i, u) in punits.iter().enumerate() {
-                    unit_heap.set(i, u.candidate());
-                }
-                for (j, u) in dunits.iter().enumerate() {
-                    unit_heap.set(pn + j, u.candidate());
-                }
-            }
-            // Arrival: routes across the (always-healthy) prefill pool.
-            1 => {
-                let request = stream.pop();
-                origin.insert(request.id, request.arrival_s);
-                let snaps: Vec<ReplicaSnapshot> = punits
-                    .iter()
-                    .enumerate()
-                    .map(|(i, u)| u.snapshot(i, p_assigned[i], classed))
-                    .collect();
-                let k = arouter.route(&request, &snaps).min(punits.len() - 1);
-                p_assigned[k] += 1;
-                if let Some(tr) = &trace {
-                    tr.rec.borrow_mut().request_arrival_for(
-                        tr.ptracks[k],
-                        request.id,
-                        request.arrival_s,
-                        tenant_tag(&tenancy, request.id),
+    /// Hands `item`'s cache, ready on prefill unit `src` at `item.fire`,
+    /// to a decode replica (a fresh handoff or a crash re-handoff): routes
+    /// it, serializes the transfer on `src`'s egress link, prices any open
+    /// degraded-link window, pins the source cache until the transfer
+    /// lands, and enqueues on the routed decode unit. With the whole
+    /// decode pool down it parks the request until the next restart
+    /// instead (no retry charged) and returns `false`.
+    fn handoff(&mut self, src: usize, item: DisaggRetry, now: Seconds) -> Result<bool> {
+        let all = self.health.next_transition().is_none();
+        if !all {
+            let health = &self.health;
+            self.up.clear();
+            self.up.extend((0..self.dunits.len()).filter(|&j| health.is_up(j)));
+            if self.up.is_empty() {
+                let fire = health.next_transition().ok_or_else(|| {
+                    Error::internal("every decode replica is down and none is scheduled to restart")
+                })?;
+                if let Some(tr) = &self.trace {
+                    tr.rec.borrow_mut().instant_for(
+                        tr.control,
+                        EventKind::Park,
+                        item.request.id,
+                        now.get(),
+                        tenant_tag(self.tenancy, item.request.id),
                     );
                 }
-                punits[k].queue.push_back(request);
-                if let Some(tr) = &trace {
-                    tr.sample_prefill(k, request.arrival(), &punits[k]);
-                }
-                unit_heap.set(k, punits[k].candidate());
+                // The cache stays resident at the source (no release is
+                // scheduled until a transfer is).
+                self.waiting.push(DisaggRetry { fire, ..item });
+                return Ok(false);
             }
-            // Retry fire: re-handoff, recompute, or repark.
-            2 => {
-                let item = waiting.remove(idx);
-                let r = item.request;
-                let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                if now.get() > orig + recovery.deadline.get() {
-                    avail.timed_out += 1;
-                    if let Some(t) = tenancy.as_mut() {
-                        t.ledger.on_timeout(r.id);
+        }
+        let r = item.request;
+        let k = self.route_decode(&r, all);
+        let bytes = self.full_fp.handoff_bytes(r.prompt_len, self.punits[src].alloc.block_tokens());
+        let t_start = item.fire.max(self.punits[src].link_free);
+        let (duration, energy) = self.priced_transfer(t_start, bytes);
+        let t_end = t_start + duration;
+        self.punits[src].link_free = t_end;
+        self.punits[src].pending_release.push((t_end, r.id));
+        self.transfers.record(bytes.get(), duration, energy);
+        if let Some(tr) = &self.trace {
+            tr.rec.borrow_mut().span(
+                tr.ptracks[src],
+                EventKind::KvHandoff,
+                r.id,
+                t_start.get(),
+                t_end.get(),
+            );
+        }
+        self.dunits[k].pending.push(PendingDecode {
+            req: r,
+            first_token: item.first_token.unwrap_or(t_end),
+            ready: t_end,
+        });
+        self.heap.set(self.punits.len() + k, self.dunits[k].candidate());
+        Ok(true)
+    }
+
+    /// Fault transitions due at `now`: restores first, then crashes.
+    fn faults(&mut self, now: Seconds) {
+        for k in self.health.advance(now, self.recovery.warmup) {
+            if let Some(tr) = &self.trace {
+                tr.rec.borrow_mut().instant(tr.dtracks[k], EventKind::Repair, 0, now.get());
+            }
+        }
+        for rec in &mut self.crash_log {
+            if rec.up_again.is_none() && self.health.is_up(rec.replica) {
+                rec.up_again = Some(now);
+            }
+        }
+        while let Some(&(_, replica, repair)) =
+            self.crashes.get(self.next_crash).filter(|c| c.0 <= now)
+        {
+            self.next_crash += 1;
+            if !matches!(self.health.state(replica), ReplicaHealth::Down { .. }) {
+                self.crash(replica, now + repair, now);
+            }
+        }
+        // A crash empties a decode unit and can unpin caches on any
+        // prefill unit (releases change their admission starts): refresh
+        // every slot. Fault events are rare, so the `O(fleet)` refresh is
+        // off the hot path.
+        let pn = self.punits.len();
+        for (i, u) in self.punits.iter().enumerate() {
+            self.heap.set(i, u.candidate());
+        }
+        for (j, u) in self.dunits.iter().enumerate() {
+            self.heap.set(pn + j, u.candidate());
+        }
+    }
+
+    /// Crashes decode replica `replica` at `now` until `restart`:
+    /// everything resident on or inbound to it is lost and its allocator
+    /// empties (high-water survives); each lost request re-hands-off,
+    /// recomputes, or is dropped.
+    fn crash(&mut self, replica: usize, restart: Seconds, now: Seconds) {
+        let unit = &mut self.dunits[replica];
+        let lost: Vec<(Request, Seconds)> = unit
+            .pending
+            .drain(..)
+            .map(|p| (p.req, p.first_token))
+            .chain(unit.active.drain(..).map(|s| (s.req, s.first_token)))
+            .collect();
+        unit.alloc.release_all();
+        self.health.mark_down(replica, restart);
+        self.avail.crashes += 1;
+        self.crash_log.push(CrashRecord {
+            replica,
+            at: now,
+            up_again: None,
+            first_completion: None,
+        });
+        if let Some(tr) = &self.trace {
+            tr.rec.borrow_mut().instant(tr.dtracks[replica], EventKind::Crash, 0, now.get());
+        }
+        for (r, ft) in lost {
+            // Where is the cache now? If the source prefill replica has
+            // not released the blocks yet, pin them and re-handoff
+            // (transfer-only — always cheaper than recompute + transfer);
+            // otherwise the prompt recomputes through the prefill pool.
+            let source = self.punits.iter_mut().position(|pu| {
+                let pos = pu.pending_release.iter().position(|&(t, id)| id == r.id && t > now);
+                pos.map(|pos| pu.pending_release.remove(pos)).is_some()
+            });
+            let orig = self.orig(&r);
+            let attempts = self.attempts_of.get(&r.id).copied().unwrap_or(0) + 1;
+            if attempts > self.recovery.max_attempts {
+                self.drop_request(r.id, orig, now, EventKind::Shed, source);
+                continue;
+            }
+            let fire = now + self.recovery.backoff_for(attempts);
+            if fire.get() > orig + self.recovery.deadline.get() {
+                self.drop_request(r.id, orig, now, EventKind::Timeout, source);
+                continue;
+            }
+            if let Some(tr) = &self.trace {
+                tr.rec.borrow_mut().span_for(
+                    tr.control,
+                    EventKind::Retry,
+                    r.id,
+                    now.get(),
+                    fire.get(),
+                    tenant_tag(self.tenancy, r.id),
+                );
+            }
+            self.attempts_of.insert(r.id, attempts);
+            self.waiting.push(DisaggRetry {
+                fire,
+                request: r,
+                attempts,
+                source,
+                first_token: source.is_some().then_some(ft),
+            });
+        }
+    }
+
+    /// Fires waiting request `idx`: re-handoff, recompute, or repark.
+    fn fire(&mut self, idx: usize, now: Seconds) -> Result<()> {
+        let item = self.waiting.remove(idx);
+        let r = item.request;
+        let orig = self.orig(&r);
+        if now.get() > orig + self.recovery.deadline.get() {
+            self.drop_request(r.id, orig, now, EventKind::Timeout, item.source);
+            return Ok(());
+        }
+        match item.source {
+            Some(p) => {
+                if self.handoff(p, item, now)? {
+                    if item.attempts > 0 {
+                        self.avail.retries += 1;
                     }
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().instant_for(
-                            tr.control,
-                            EventKind::Timeout,
-                            r.id,
-                            now.get(),
-                            tenant_tag(&tenancy, r.id),
-                        );
-                    }
-                    if let Some(p) = item.source {
-                        punits[p].alloc.release(r.id);
-                        unit_heap.set(p, punits[p].candidate());
-                    }
-                    release_client(&mut stream, r.id, orig, now);
-                    continue;
-                }
-                match item.source {
-                    Some(p) => {
-                        let up = dhealth.up_replicas();
-                        if up.is_empty() {
-                            // Whole decode pool down: park until the next
-                            // repair finishes (no retry charged).
-                            let fire = dhealth.next_transition().ok_or_else(|| {
-                                Error::internal(
-                                    "every decode replica is down and none is scheduled to \
-                                     restart",
-                                )
-                            })?;
-                            if let Some(tr) = &trace {
-                                tr.rec.borrow_mut().instant_for(
-                                    tr.control,
-                                    EventKind::Park,
-                                    r.id,
-                                    now.get(),
-                                    tenant_tag(&tenancy, r.id),
-                                );
-                            }
-                            waiting.push(DisaggRetry { fire, ..item });
-                            continue;
-                        }
-                        let snaps: Vec<ReplicaSnapshot> = up
-                            .iter()
-                            .enumerate()
-                            .map(|(pos, &k)| dunits[k].snapshot(pos, d_assigned[k], classed))
-                            .collect();
-                        let pos = drouter.route(&r, &snaps).min(up.len() - 1);
-                        let k = up[pos];
-                        d_assigned[k] += 1;
-                        if item.attempts > 0 {
-                            avail.retries += 1;
-                        }
-                        let bytes =
-                            full_fp.handoff_bytes(r.prompt_len, punits[p].alloc.block_tokens());
-                        let t_start = now.max(punits[p].link_free);
-                        let (duration, energy) = priced_transfer(t_start, bytes);
-                        let t_end = t_start + duration;
-                        punits[p].link_free = t_end;
-                        // The source cache is held until the re-transfer
-                        // lands, then released as usual.
-                        punits[p].pending_release.push((t_end, r.id));
-                        punits[p].pending_release.sort_by(|a, b| {
-                            a.0.get().total_cmp(&b.0.get()).then(a.1.cmp(&b.1))
-                        });
-                        transfers.record(bytes.get(), duration, energy);
-                        if let Some(tr) = &trace {
-                            tr.rec.borrow_mut().span(
-                                tr.ptracks[p],
-                                EventKind::KvHandoff,
-                                r.id,
-                                t_start.get(),
-                                t_end.get(),
-                            );
-                        }
-                        dunits[k].pending.push(PendingDecode {
-                            req: r,
-                            first_token: item.first_token.unwrap_or(t_end),
-                            ready: t_end,
-                        });
-                        unit_heap.set(p, punits[p].candidate());
-                        unit_heap.set(pn + k, dunits[k].candidate());
-                    }
-                    None => {
-                        // Recompute: the cache is gone — back through the
-                        // prefill pool; admission restarts at the fire
-                        // time, TTFT is re-earned.
-                        let snaps: Vec<ReplicaSnapshot> = punits
-                            .iter()
-                            .enumerate()
-                            .map(|(i, u)| u.snapshot(i, p_assigned[i], classed))
-                            .collect();
-                        let mut rr = r;
-                        rr.arrival_s = now.get();
-                        let k = arouter.route(&rr, &snaps).min(punits.len() - 1);
-                        p_assigned[k] += 1;
-                        if item.attempts > 0 {
-                            avail.retries += 1;
-                        }
-                        punits[k].queue.push_back(rr);
-                        unit_heap.set(k, punits[k].candidate());
-                    }
+                    self.heap.set(p, self.punits[p].candidate());
                 }
             }
-            // Prefill batch: hand each member off (or park it if the
-            // whole decode pool is down).
-            3 => {
-                let batch = punits[idx].step()?;
-                for req in batch.members {
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().span(
-                            tr.ptracks[idx],
-                            EventKind::Prefill,
-                            req.id,
-                            batch.start.get(),
-                            batch.end.get(),
-                        );
-                    }
-                    let up = dhealth.up_replicas();
-                    if up.is_empty() {
-                        let fire = dhealth.next_transition().ok_or_else(|| {
-                            Error::internal(
-                                "every decode replica is down and none is scheduled to restart",
-                            )
-                        })?;
-                        if let Some(tr) = &trace {
-                            tr.rec.borrow_mut().instant_for(
-                                tr.control,
-                                EventKind::Park,
-                                req.id,
-                                now.get(),
-                                tenant_tag(&tenancy, req.id),
-                            );
-                        }
-                        // The cache stays resident at the source (no
-                        // release is scheduled until a transfer is).
-                        waiting.push(DisaggRetry {
-                            fire,
-                            request: req,
-                            attempts: attempts_of.get(&req.id).copied().unwrap_or(0),
-                            source: Some(idx),
-                            first_token: Some(batch.end),
-                        });
-                        continue;
-                    }
-                    let snaps: Vec<ReplicaSnapshot> = up
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, &k)| dunits[k].snapshot(pos, d_assigned[k], classed))
-                        .collect();
-                    let pos = drouter.route(&req, &snaps).min(up.len() - 1);
-                    let k = up[pos];
-                    d_assigned[k] += 1;
-                    let bytes =
-                        full_fp.handoff_bytes(req.prompt_len, punits[idx].alloc.block_tokens());
-                    let t_start = batch.end.max(punits[idx].link_free);
-                    let (duration, energy) = priced_transfer(t_start, bytes);
-                    let t_end = t_start + duration;
-                    punits[idx].link_free = t_end;
-                    punits[idx].pending_release.push((t_end, req.id));
-                    transfers.record(bytes.get(), duration, energy);
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().span(
-                            tr.ptracks[idx],
-                            EventKind::KvHandoff,
-                            req.id,
-                            t_start.get(),
-                            t_end.get(),
-                        );
-                    }
-                    dunits[k].pending.push(PendingDecode {
-                        req,
-                        first_token: batch.end,
-                        ready: t_end,
-                    });
-                    unit_heap.set(pn + k, dunits[k].candidate());
+            None => {
+                // Recompute: the cache is gone — back through the prefill
+                // pool; admission restarts at the fire time, TTFT is
+                // re-earned, latency still counts from the first arrival.
+                self.origin.entry(r.id).or_insert(r.arrival_s);
+                let rr = Request { arrival_s: now.get(), ..r };
+                let k = self.route_prefill(&rr);
+                if item.attempts > 0 {
+                    self.avail.retries += 1;
                 }
-                if let Some(tr) = &trace {
-                    tr.sample_prefill(idx, batch.end, &punits[idx]);
-                }
-                unit_heap.set(idx, punits[idx].candidate());
+                self.punits[k].queue.push_back(rr);
+                self.heap.set(k, self.punits[k].candidate());
             }
-            // Decode round (atomic: a crash never lands mid-round).
-            _ => {
-                let finished = dunits[idx].step()?;
-                unit_heap.set(pn + idx, dunits[idx].candidate());
+        }
+        Ok(())
+    }
+
+    /// Drops request `id` as shed or timed out at `now`, frees the cache
+    /// its `source` prefill unit still pins, and releases its closed-loop
+    /// client.
+    fn drop_request(
+        &mut self,
+        id: u64,
+        orig: f64,
+        now: Seconds,
+        kind: EventKind,
+        source: Option<usize>,
+    ) {
+        let shed = kind == EventKind::Shed;
+        if shed {
+            self.avail.shed += 1;
+        } else {
+            self.avail.timed_out += 1;
+        }
+        if let Some(t) = self.tenancy.as_mut() {
+            if shed {
+                t.ledger.on_shed(id);
+            } else {
+                t.ledger.on_timeout(id);
+            }
+        }
+        if let Some(tr) = &self.trace {
+            tr.rec.borrow_mut().instant_for(
+                tr.control,
+                kind,
+                id,
+                now.get(),
+                tenant_tag(self.tenancy, id),
+            );
+        }
+        if let Some(p) = source {
+            self.punits[p].alloc.release(id);
+            self.heap.set(p, self.punits[p].candidate());
+        }
+        release_client(&mut self.stream, id, orig, now);
+    }
+
+    /// One decode round on unit `idx`; its completions count against
+    /// their original arrivals.
+    fn decode(&mut self, idx: usize) -> Result<()> {
+        let mut finished = self.dunits[idx].step()?;
+        self.heap.set(self.punits.len() + idx, self.dunits[idx].candidate());
+        for c in &mut finished {
+            if !self.origin.is_empty() {
+                if let Some(&orig) = self.origin.get(&c.id) {
+                    c.arrival = Seconds::new(orig);
+                }
+            }
+            if !self.attempts_of.is_empty() && self.attempts_of.contains_key(&c.id) {
+                self.avail.retried_ok += 1;
+            }
+            for rec in &mut self.crash_log {
+                if rec.replica == idx && rec.first_completion.is_none() && c.finish > rec.at {
+                    rec.first_completion = Some(c.finish);
+                }
+            }
+            self.stream.on_complete(c);
+        }
+        if let Some(tr) = &self.trace {
+            {
+                let mut rec = tr.rec.borrow_mut();
                 for c in &finished {
-                    if attempts_of.get(&c.id).copied().unwrap_or(0) > 0 {
-                        avail.retried_ok += 1;
-                    }
-                    for rec in crash_log.iter_mut() {
-                        if rec.replica == idx
-                            && rec.first_completion.is_none()
-                            && c.finish > rec.at
-                        {
-                            rec.first_completion = Some(c.finish);
-                        }
-                    }
-                    stream.on_complete(c);
+                    rec.complete_for(
+                        tr.dtracks[idx],
+                        c.id,
+                        c.finish.get(),
+                        c.latency().as_millis(),
+                        c.ttft().as_millis(),
+                        tenant_tag(self.tenancy, c.id),
+                    );
                 }
-                if let Some(tr) = &trace {
-                    {
-                        let mut rec = tr.rec.borrow_mut();
-                        for c in &finished {
-                            // The loop restores original arrivals only
-                            // after the run; the recorder needs the
-                            // restored latency now.
-                            let mut cc = *c;
-                            if let Some(orig) = origin.get(&cc.id) {
-                                cc.arrival = Seconds::new(*orig);
-                            }
-                            rec.complete_for(
-                                tr.dtracks[idx],
-                                cc.id,
-                                cc.finish.get(),
-                                cc.latency().as_millis(),
-                                cc.ttft().as_millis(),
-                                tenant_tag(&tenancy, cc.id),
-                            );
-                        }
-                    }
-                    tr.sample_decode(idx, dunits[idx].t, &dunits[idx]);
-                }
-                completions.extend(finished);
             }
+            tr.sample_decode(idx, self.dunits[idx].t, &self.dunits[idx]);
         }
+        self.completions.extend(finished);
+        Ok(())
     }
-
-    // Recomputed requests were re-admitted at their retry fire time;
-    // report latency against the original arrival.
-    for c in &mut completions {
-        if let Some(orig) = origin.get(&c.id) {
-            c.arrival = Seconds::new(*orig);
-        }
-    }
-    completions.sort_by_key(|c| c.id);
-    debug_assert_eq!(
-        completions.len() as u64 + avail.shed + avail.timed_out,
-        offered,
-        "request conservation: arrived == completed + shed + timed out"
-    );
-
-    let finish = completions.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
-    let first_arrival = completions.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-    let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
-    let fleet = (prefill.len() + decode.len()) as f64;
-    let mut downtime = 0.0;
-    for rec in &crash_log {
-        let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
-        let start = clip(rec.at.get());
-        let end = clip(rec.up_again.map_or(finish.get(), |u| u.get()));
-        downtime += (end - start).max(0.0);
-        avail
-            .time_to_recover_s
-            .push((rec.first_completion.unwrap_or(finish).get() - rec.at.get()).max(0.0));
-    }
-    avail.downtime_s = downtime;
-    avail.availability = (1.0 - downtime / (fleet * makespan)).clamp(0.0, 1.0);
-
-    let mut rows = Vec::with_capacity(prefill.len() + decode.len());
-    let mut chip_energy = Joules::ZERO;
-    let mut queue_full_s = 0.0;
-    for (spec, unit) in prefill.iter().zip(&punits) {
-        chip_energy += unit.energy;
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "prefill".to_owned(),
-            chips: spec.chips(),
-            requests: unit.prefills,
-            busy_s: unit.busy.get(),
-            utilization: 0.0,
-            energy_j: unit.energy.get(),
-            kv_hwm_frac: unit.alloc.high_water_frac(),
-        });
-    }
-    for (spec, unit) in decode.iter().zip(&dunits) {
-        chip_energy += unit.energy;
-        queue_full_s += unit.queue_full.get();
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "decode".to_owned(),
-            chips: spec.chips(),
-            requests: unit.completed,
-            busy_s: unit.busy.get(),
-            utilization: 0.0,
-            energy_j: unit.energy.get(),
-            kv_hwm_frac: unit.alloc.high_water_frac(),
-        });
-    }
-    let mut report = ClusterReport::build(
-        label,
-        "disaggregated",
-        format!("{}\u{2192}{}", router.name(), decode_router.name()),
-        offered,
-        &completions,
-        chip_energy,
-        0, // worst-case decode reservation: the pools never preempt
-        queue_full_s,
-        transfers,
-        rows,
-        slo_ms,
-        Some(avail),
-    );
-    if let Some(t) = tenancy {
-        report.tenants = Some(t.ledger.report(&completions, report.makespan_s));
-    }
-    for session in p_sessions.iter().chain(&d_sessions) {
-        session.persist_cache();
-    }
-    Ok(ClusterRun {
-        report,
-        replica_reports: Vec::new(),
-        completions,
-        prefix: cimtpu_serving::PrefixStats::default(),
-    })
 }
 
 #[cfg(test)]
@@ -1565,356 +1308,57 @@ mod tests {
         assert_eq!(link.transfer_time(bytes), ring.p2p_time(bytes));
     }
 
-    // ------------------------------------------------------------------
-    // Scan oracles: the pre-heap pipeline drivers, kept verbatim so
-    // proptests can pin the heap-scheduled drivers bit-for-bit against
-    // them.
-    // ------------------------------------------------------------------
-
-    /// The zero-fault pipeline as it was before the [`ActionHeap`] port:
-    /// a full scan over every unit's candidate per event, with fresh
-    /// snapshot collects per routing decision.
-    #[allow(clippy::too_many_arguments)] // mirrors the driver it pins
-    fn run_disaggregated_plain_oracle(
-        prefill: &[ReplicaSpec],
-        decode: &[ReplicaSpec],
-        router: RouterPolicy,
-        decode_router: RouterPolicy,
-        interconnect: InterconnectSpec,
-        label: &str,
-        traffic: &TrafficSpec,
-        slo_ms: Option<f64>,
-    ) -> Result<ClusterRun> {
-        let reference = validate_pool_replica(&prefill[0], "prefill")?.clone();
-        let pool_members = prefill
-            .iter()
-            .map(|s| (s, "prefill"))
-            .chain(decode.iter().map(|s| (s, "decode")));
-        for (spec, role) in pool_members {
-            let model = validate_pool_replica(spec, role)?;
-            if *model != reference {
-                return Err(Error::invalid_config(format!(
-                    "disaggregated pools must host one common model: '{}' hosts {}, \
-                     expected {}",
-                    spec.name,
-                    model.name(),
-                    reference.name()
-                )));
-            }
-        }
-        // The cache that crosses the wire is the full (unsharded) footprint,
-        // whatever the pool sharding.
-        let full_fp = KvFootprint::of(&reference);
-
-        let p_sessions: Vec<EngineSession> = prefill
-            .iter()
-            .map(|r| EngineSession::new(&r.engine()?))
-            .collect::<Result<_>>()?;
-        let d_sessions: Vec<EngineSession> = decode
-            .iter()
-            .map(|r| EngineSession::new(&r.engine()?))
-            .collect::<Result<_>>()?;
-        let mut punits: Vec<PrefillUnit<'_>> = p_sessions
-            .iter()
-            .zip(prefill)
-            .map(|(s, spec)| {
-                Ok(PrefillUnit {
-                    pricer: s.pricer(),
-                    alloc: s.allocator()?,
-                    cap: spec.policy.max_concurrency() as usize,
-                    free_at: Seconds::ZERO,
-                    queue: std::collections::VecDeque::new(),
-                    pending_release: Vec::new(),
-                    link_free: Seconds::ZERO,
-                    busy: Seconds::ZERO,
-                    energy: Joules::ZERO,
-                    prefills: 0,
-                })
-            })
-            .collect::<Result<_>>()?;
-        let mut dunits: Vec<DecodeUnit<'_>> = d_sessions
-            .iter()
-            .zip(decode)
-            .map(|(s, spec)| {
-                Ok(DecodeUnit {
-                    pricer: s.pricer(),
-                    alloc: s.allocator()?,
-                    cap: spec.policy.max_concurrency() as usize,
-                    t: Seconds::ZERO,
-                    pending: Vec::new(),
-                    active: Vec::new(),
-                    busy: Seconds::ZERO,
-                    energy: Joules::ZERO,
-                    queue_full: Seconds::ZERO,
-                    completed: 0,
-                })
-            })
-            .collect::<Result<_>>()?;
-
-        let mut stream = ArrivalStream::new(traffic)?;
-        let offered = stream.total();
-        let mut arouter = router.build();
-        let mut drouter = decode_router.build();
-        let mut p_assigned = vec![0u64; prefill.len()];
-        let mut d_assigned = vec![0u64; decode.len()];
-        let mut transfers = KvTransferStats::default();
-        let mut completions: Vec<Completion> = Vec::new();
-
-        loop {
-            // The earliest event wins; ties go arrival → prefill → decode,
-            // then lowest index — a fixed order, so runs replay exactly.
-            let mut best: Option<(Seconds, u8, usize)> = None;
-            let mut offer = |t: Seconds, class: u8, idx: usize| {
-                if best.is_none_or(|(bt, bc, bi)| {
-                    t < bt || (t == bt && (class, idx) < (bc, bi))
-                }) {
-                    best = Some((t, class, idx));
-                }
-            };
-            if let Some(ta) = stream.peek() {
-                offer(ta, 0, 0);
-            }
-            for (i, u) in punits.iter().enumerate() {
-                if let Some(t) = u.candidate() {
-                    offer(t, 1, i);
-                }
-            }
-            for (i, u) in dunits.iter().enumerate() {
-                if let Some(t) = u.candidate() {
-                    offer(t, 2, i);
-                }
-            }
-            let Some((_, class, idx)) = best else {
-                if stream.exhausted() {
-                    break;
-                }
-                return Err(Error::invalid_config(
-                    "disaggregated driver stalled: requests pending but no unit can act",
-                ));
-            };
-            match class {
-                0 => {
-                    let request = stream.pop();
-                    let snaps: Vec<ReplicaSnapshot> = punits
-                        .iter()
-                        .enumerate()
-                        .map(|(i, u)| u.snapshot(i, p_assigned[i], false))
-                        .collect();
-                    let k = arouter.route(&request, &snaps).min(punits.len() - 1);
-                    p_assigned[k] += 1;
-                    punits[k].queue.push_back(request);
-                }
-                1 => {
-                    let batch = punits[idx].step()?;
-                    for req in batch.members {
-                        // Route the handoff, serialize it on this replica's
-                        // egress link, and gate the decode admission on the
-                        // target's allocator (via its pending queue).
-                        let snaps: Vec<ReplicaSnapshot> = dunits
-                            .iter()
-                            .enumerate()
-                            .map(|(i, u)| u.snapshot(i, d_assigned[i], false))
-                            .collect();
-                        let k = drouter.route(&req, &snaps).min(dunits.len() - 1);
-                        d_assigned[k] += 1;
-                        let bytes =
-                            full_fp.handoff_bytes(req.prompt_len, punits[idx].alloc.block_tokens());
-                        let duration = interconnect.transfer_time(bytes);
-                        let t_start = batch.end.max(punits[idx].link_free);
-                        let t_end = t_start + duration;
-                        punits[idx].link_free = t_end;
-                        punits[idx].pending_release.push((t_end, req.id));
-                        transfers.record(bytes.get(), duration, interconnect.transfer_energy(bytes));
-                        dunits[k].pending.push(PendingDecode {
-                            req,
-                            first_token: batch.end,
-                            ready: t_end,
-                        });
-                    }
-                }
-                _ => {
-                    let finished = dunits[idx].step()?;
-                    for c in &finished {
-                        stream.on_complete(c);
-                    }
-                    completions.extend(finished);
-                }
-            }
-        }
-
-        completions.sort_by_key(|c| c.id);
-        let mut rows = Vec::with_capacity(prefill.len() + decode.len());
-        let mut chip_energy = Joules::ZERO;
-        let mut queue_full_s = 0.0;
-        for (spec, unit) in prefill.iter().zip(&punits) {
-            chip_energy += unit.energy;
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "prefill".to_owned(),
-                chips: spec.chips(),
-                requests: unit.prefills,
-                busy_s: unit.busy.get(),
-                utilization: 0.0,
-                energy_j: unit.energy.get(),
-                kv_hwm_frac: unit.alloc.high_water_frac(),
-            });
-        }
-        for (spec, unit) in decode.iter().zip(&dunits) {
-            chip_energy += unit.energy;
-            queue_full_s += unit.queue_full.get();
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "decode".to_owned(),
-                chips: spec.chips(),
-                requests: unit.completed,
-                busy_s: unit.busy.get(),
-                utilization: 0.0,
-                energy_j: unit.energy.get(),
-                kv_hwm_frac: unit.alloc.high_water_frac(),
-            });
-        }
-        let report = ClusterReport::build(
-            label,
-            "disaggregated",
-            format!("{}\u{2192}{}", router.name(), decode_router.name()),
-            offered,
-            &completions,
-            chip_energy,
-            0, // worst-case decode reservation: the pools never preempt
-            queue_full_s,
-            transfers,
-            rows,
-            slo_ms,
-            None,
-        );
-        for session in p_sessions.iter().chain(&d_sessions) {
-            session.persist_cache();
-        }
-        Ok(ClusterRun {
-            report,
-            replica_reports: Vec::new(),
-            completions,
-            prefix: cimtpu_serving::PrefixStats::default(),
-        })
-    }
-
-    /// The failure-aware pipeline as it was before the [`ActionHeap`]
-    /// port, scan loop and all.
-    #[allow(clippy::too_many_arguments)] // mirrors the driver it pins
-    #[allow(clippy::too_many_lines)] // verbatim copy of the old driver
+    /// The scan oracle: the failure-aware pipeline as it was before the
+    /// [`ActionHeap`] port — a full scan over every unit's candidate per
+    /// event, fresh snapshot collects per routing decision, one session
+    /// per replica — kept so proptests can pin the event loop
+    /// bit-for-bit against it.
     fn run_disaggregated_faulty_oracle(
-        prefill: &[ReplicaSpec],
-        decode: &[ReplicaSpec],
-        router: RouterPolicy,
-        decode_router: RouterPolicy,
-        interconnect: InterconnectSpec,
+        pools: Pools<'_>,
         label: &str,
         traffic: &TrafficSpec,
         slo_ms: Option<f64>,
         plan: &FaultPlan,
     ) -> Result<ClusterRun> {
+        let sessions = |p: &Pools<'_>| -> Result<(Vec<EngineSession>, Vec<usize>)> {
+            let sessions: Vec<EngineSession> =
+                p.replicas().map(|r| EngineSession::new(&r.engine()?)).collect::<Result<_>>()?;
+            let session_of = (0..sessions.len()).collect();
+            Ok((sessions, session_of))
+        };
+        pools.serve(label, slo_ms, !plan.is_empty(), sessions, |punits, dunits, full_fp| {
+            scan(pools, punits, dunits, full_fp, traffic, plan)
+        })
+    }
+
+    /// The oracle's event loop, scan and all.
+    #[allow(clippy::too_many_lines)] // verbatim copy of the old driver
+    fn scan(
+        pools: Pools<'_>,
+        punits: &mut [PrefillUnit<'_>],
+        dunits: &mut [DecodeUnit<'_>],
+        full_fp: KvFootprint,
+        traffic: &TrafficSpec,
+        plan: &FaultPlan,
+    ) -> Result<Served> {
         let recovery = *plan.recovery();
-        // Crash events index the DECODE pool; prefill replicas are the
-        // stateless front of the pipeline here and cannot crash.
-        let mut crash_timeline: Vec<(Seconds, usize, Seconds)> = Vec::new();
-        let mut windows: Vec<(Seconds, Seconds, f64, f64)> = Vec::new();
-        for event in plan.resolve(decode.len())? {
-            match event {
-                FaultEvent::Crash { at, replica, repair } => crash_timeline.push((at, replica, repair)),
-                FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
-                    windows.push((from, until, bandwidth_factor, energy_factor));
-                }
-                FaultEvent::Straggler { .. } => {
-                    return Err(Error::invalid_config(
-                        "straggler faults apply to colocated replicas; disaggregated pools price \
-                         whole phases — degrade the link instead",
-                    ));
-                }
-            }
-        }
-        crash_timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
+        let (crash_timeline, windows) = timeline(plan, dunits.len())?;
         let mut next_crash = 0usize;
-
-        let reference = validate_pool_replica(&prefill[0], "prefill")?.clone();
-        let pool_members = prefill
-            .iter()
-            .map(|s| (s, "prefill"))
-            .chain(decode.iter().map(|s| (s, "decode")));
-        for (spec, role) in pool_members {
-            let model = validate_pool_replica(spec, role)?;
-            if *model != reference {
-                return Err(Error::invalid_config(format!(
-                    "disaggregated pools must host one common model: '{}' hosts {}, \
-                     expected {}",
-                    spec.name,
-                    model.name(),
-                    reference.name()
-                )));
-            }
-        }
-        let full_fp = KvFootprint::of(&reference);
-
-        let p_sessions: Vec<EngineSession> = prefill
-            .iter()
-            .map(|r| EngineSession::new(&r.engine()?))
-            .collect::<Result<_>>()?;
-        let d_sessions: Vec<EngineSession> = decode
-            .iter()
-            .map(|r| EngineSession::new(&r.engine()?))
-            .collect::<Result<_>>()?;
-        let mut punits: Vec<PrefillUnit<'_>> = p_sessions
-            .iter()
-            .zip(prefill)
-            .map(|(s, spec)| {
-                Ok(PrefillUnit {
-                    pricer: s.pricer(),
-                    alloc: s.allocator()?,
-                    cap: spec.policy.max_concurrency() as usize,
-                    free_at: Seconds::ZERO,
-                    queue: std::collections::VecDeque::new(),
-                    pending_release: Vec::new(),
-                    link_free: Seconds::ZERO,
-                    busy: Seconds::ZERO,
-                    energy: Joules::ZERO,
-                    prefills: 0,
-                })
-            })
-            .collect::<Result<_>>()?;
-        let mut dunits: Vec<DecodeUnit<'_>> = d_sessions
-            .iter()
-            .zip(decode)
-            .map(|(s, spec)| {
-                Ok(DecodeUnit {
-                    pricer: s.pricer(),
-                    alloc: s.allocator()?,
-                    cap: spec.policy.max_concurrency() as usize,
-                    t: Seconds::ZERO,
-                    pending: Vec::new(),
-                    active: Vec::new(),
-                    busy: Seconds::ZERO,
-                    energy: Joules::ZERO,
-                    queue_full: Seconds::ZERO,
-                    completed: 0,
-                })
-            })
-            .collect::<Result<_>>()?;
-
+        let interconnect = pools.interconnect;
         let mut stream = ArrivalStream::new(traffic)?;
         let offered = stream.total();
-        let mut arouter = router.build();
-        let mut drouter = decode_router.build();
-        let mut p_assigned = vec![0u64; prefill.len()];
-        let mut d_assigned = vec![0u64; decode.len()];
+        let mut arouter = pools.router.build();
+        let mut drouter = pools.decode_router.build();
+        let mut p_assigned = vec![0u64; punits.len()];
+        let mut d_assigned = vec![0u64; dunits.len()];
         let mut transfers = KvTransferStats::default();
         let mut completions: Vec<Completion> = Vec::new();
-        let mut dhealth = HealthView::all_up(decode.len());
+        let mut dhealth = HealthView::all_up(dunits.len());
         let mut waiting: Vec<DisaggRetry> = Vec::new();
         let mut origin: HashMap<u64, f64> = HashMap::new();
         let mut attempts_of: HashMap<u64, u32> = HashMap::new();
         let mut avail = AvailabilityStats::zero();
-        let mut crash_log: Vec<DisaggCrash> = Vec::new();
+        let mut crash_log: Vec<CrashRecord> = Vec::new();
 
         // Transfer cost at `t_start`, with every open degraded-link window
         // applied: wire time divided by the bandwidth factor (the hop stands),
@@ -1937,13 +1381,6 @@ mod tests {
             };
             (duration, Joules::new(interconnect.transfer_energy(bytes).get() * en))
         };
-
-        // Hands one finished-prefill request off to a decode replica (a fresh
-        // handoff or a re-handoff): serializes on the source's egress link,
-        // holds the source cache until the transfer ends, and enqueues on the
-        // routed target. Returns the ready time.
-        // (Written as a macro-free block at both call sites below: the borrow
-        // sets differ.)
 
         loop {
             // The run is over when nothing can produce or receive work;
@@ -2031,7 +1468,7 @@ mod tests {
                         dunits[replica].alloc.release_all();
                         dhealth.mark_down(replica, now + repair);
                         avail.crashes += 1;
-                        crash_log.push(DisaggCrash {
+                        crash_log.push(CrashRecord {
                             replica,
                             at: now,
                             up_again: None,
@@ -2058,21 +1495,21 @@ mod tests {
                             let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
                             let attempts = attempts_of.get(&r.id).copied().unwrap_or(0) + 1;
                             let drop_blocks =
-                                |punits: &mut Vec<PrefillUnit<'_>>, source: Option<usize>| {
+                                |punits: &mut [PrefillUnit<'_>], source: Option<usize>| {
                                     if let Some(p) = source {
                                         punits[p].alloc.release(r.id);
                                     }
                                 };
                             if attempts > recovery.max_attempts {
                                 avail.shed += 1;
-                                drop_blocks(&mut punits, source);
+                                drop_blocks(punits, source);
                                 release_client(&mut stream, r.id, orig, now);
                                 continue;
                             }
                             let fire = now + recovery.backoff_for(attempts);
                             if fire.get() > orig + recovery.deadline.get() {
                                 avail.timed_out += 1;
-                                drop_blocks(&mut punits, source);
+                                drop_blocks(punits, source);
                                 release_client(&mut stream, r.id, orig, now);
                                 continue;
                             }
@@ -2253,85 +1690,7 @@ mod tests {
                 c.arrival = Seconds::new(*orig);
             }
         }
-        completions.sort_by_key(|c| c.id);
-        debug_assert_eq!(
-            completions.len() as u64 + avail.shed + avail.timed_out,
-            offered,
-            "request conservation: arrived == completed + shed + timed out"
-        );
-
-        let finish = completions.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
-        let first_arrival = completions.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-        let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
-        let fleet = (prefill.len() + decode.len()) as f64;
-        let mut downtime = 0.0;
-        for rec in &crash_log {
-            let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
-            let start = clip(rec.at.get());
-            let end = clip(rec.up_again.map_or(finish.get(), |u| u.get()));
-            downtime += (end - start).max(0.0);
-            avail
-                .time_to_recover_s
-                .push((rec.first_completion.unwrap_or(finish).get() - rec.at.get()).max(0.0));
-        }
-        avail.downtime_s = downtime;
-        avail.availability = (1.0 - downtime / (fleet * makespan)).clamp(0.0, 1.0);
-
-        let mut rows = Vec::with_capacity(prefill.len() + decode.len());
-        let mut chip_energy = Joules::ZERO;
-        let mut queue_full_s = 0.0;
-        for (spec, unit) in prefill.iter().zip(&punits) {
-            chip_energy += unit.energy;
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "prefill".to_owned(),
-                chips: spec.chips(),
-                requests: unit.prefills,
-                busy_s: unit.busy.get(),
-                utilization: 0.0,
-                energy_j: unit.energy.get(),
-                kv_hwm_frac: unit.alloc.high_water_frac(),
-            });
-        }
-        for (spec, unit) in decode.iter().zip(&dunits) {
-            chip_energy += unit.energy;
-            queue_full_s += unit.queue_full.get();
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "decode".to_owned(),
-                chips: spec.chips(),
-                requests: unit.completed,
-                busy_s: unit.busy.get(),
-                utilization: 0.0,
-                energy_j: unit.energy.get(),
-                kv_hwm_frac: unit.alloc.high_water_frac(),
-            });
-        }
-        let report = ClusterReport::build(
-            label,
-            "disaggregated",
-            format!("{}\u{2192}{}", router.name(), decode_router.name()),
-            offered,
-            &completions,
-            chip_energy,
-            0, // worst-case decode reservation: the pools never preempt
-            queue_full_s,
-            transfers,
-            rows,
-            slo_ms,
-            Some(avail),
-        );
-        for session in p_sessions.iter().chain(&d_sessions) {
-            session.persist_cache();
-        }
-        Ok(ClusterRun {
-            report,
-            replica_reports: Vec::new(),
-            completions,
-            prefix: cimtpu_serving::PrefixStats::default(),
-        })
+        Ok(Served { offered, completions, transfers, avail, crash_log })
     }
 
     fn tiny() -> ServingModel {
@@ -2386,32 +1745,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
-        /// The heap-scheduled zero-fault pipeline replays the scan
-        /// oracle bit-for-bit for every router pairing, in open and
-        /// closed loop.
-        #[test]
-        fn heap_plain_matches_scan_oracle(seed in 0u64..1_000) {
-            let (prefill, decode) = pools();
-            for traffic in traffics(seed) {
-                for (ap, dp) in PAIRS {
-                    let fast = run_disaggregated_plain(
-                        &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq", &traffic,
-                        Some(50.0), None, None,
-                    )
-                    .unwrap();
-                    let slow = run_disaggregated_plain_oracle(
-                        &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq", &traffic,
-                        Some(50.0),
-                    )
-                    .unwrap();
-                    prop_assert_eq!(&fast, &slow, "{}→{}", ap.name(), dp.name());
-                }
-            }
-        }
-
-        /// The heap-scheduled failure-aware pipeline replays the scan
-        /// oracle bit-for-bit under a scripted decode crash + degraded
-        /// link window and under seeded chaos.
+        /// The event loop replays the scan oracle bit-for-bit for every
+        /// router pairing, in open and closed loop, without a plan, under
+        /// a scripted decode crash + degraded link window, and under
+        /// seeded chaos.
         #[test]
         fn heap_faulty_matches_scan_oracle(seed in 0u64..1_000) {
             let (prefill, decode) = pools();
@@ -2433,19 +1770,30 @@ mod tests {
                 repair: Seconds::new(0.002),
             });
             for traffic in traffics(seed) {
-                for plan in [&scripted, &chaos] {
-                    for (ap, dp) in PAIRS {
-                        let fast = run_disaggregated_faulty(
-                            &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq",
-                            &traffic, None, plan, None, None,
-                        )
-                        .unwrap();
-                        let slow = run_disaggregated_faulty_oracle(
-                            &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq",
-                            &traffic, None, plan,
-                        )
-                        .unwrap();
-                        prop_assert_eq!(&fast, &slow, "{}→{}", ap.name(), dp.name());
+                for plan in [&FaultPlan::none(), &scripted, &chaos] {
+                    for slo_ms in [Some(50.0), None] {
+                        for (router, decode_router) in PAIRS {
+                            let pools = Pools {
+                                prefill: &prefill,
+                                decode: &decode,
+                                router,
+                                decode_router,
+                                interconnect: InterconnectSpec::ici(),
+                            };
+                            let fast =
+                                run_disaggregated(pools, "eq", &traffic, slo_ms, plan, None, None)
+                                    .unwrap();
+                            let slow =
+                                run_disaggregated_faulty_oracle(pools, "eq", &traffic, slo_ms, plan)
+                                    .unwrap();
+                            prop_assert_eq!(
+                                &fast, &slow, "{}→{}", router.name(), decode_router.name()
+                            );
+                            prop_assert_eq!(
+                                fast.report.availability.is_some(),
+                                !plan.is_empty()
+                            );
+                        }
                     }
                 }
             }

@@ -7,7 +7,7 @@ use cimtpu_serving::{
 };
 use cimtpu_units::{Error, Result, Seconds};
 
-use crate::disagg::{run_disaggregated, InterconnectSpec};
+use crate::disagg::{run_disaggregated, InterconnectSpec, Pools};
 use crate::fault::FaultPlan;
 use crate::fleet::run_colocated;
 use crate::replica::ReplicaSpec;
@@ -320,11 +320,13 @@ impl ClusterEngine {
                 decode_router,
                 interconnect,
             } => run_disaggregated(
-                prefill,
-                decode,
-                *router,
-                *decode_router,
-                *interconnect,
+                Pools {
+                    prefill,
+                    decode,
+                    router: *router,
+                    decode_router: *decode_router,
+                    interconnect: *interconnect,
+                },
                 label,
                 traffic,
                 self.slo_ms,

@@ -24,7 +24,7 @@ use cimtpu_autoscale::AutoscalePolicy;
 use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
 use cimtpu_serving::{
     ActionHeap, ArrivalStream, Completion, EngineCore, EngineSession, PrefixStats, Request,
-    ServingEngine, ServingReport, TenantUsage, TrafficSpec,
+    ServingEngine, ServingReport, TenantReport, TenantUsage, TrafficSpec,
 };
 use cimtpu_units::{Error, Joules, Result, Seconds};
 
@@ -188,30 +188,7 @@ impl Ledger {
         faults: bool,
     ) -> Result<(ClusterReport, PrefixStats)> {
         self.delivered.sort_by_key(|c| c.id);
-        let avail = &mut self.avail;
-        if self.delivered.len() as u64 + avail.shed + avail.timed_out != offered {
-            return Err(Error::internal(format!(
-                "request conservation violated: {offered} offered but {} delivered, {} shed, \
-                 {} timed out",
-                self.delivered.len(),
-                avail.shed,
-                avail.timed_out
-            )));
-        }
-        let finish = self.delivered.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
-        let first_arrival = self.delivered.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-        let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
-        let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
-        let mut downtime = 0.0;
-        for rec in &self.crash_log {
-            let end = clip(rec.up_again.map_or(finish.get(), |u| u.get()));
-            downtime += (end - clip(rec.at.get())).max(0.0);
-            avail
-                .time_to_recover_s
-                .push((rec.first_completion.unwrap_or(finish).get() - rec.at.get()).max(0.0));
-        }
-        avail.downtime_s = downtime;
-        avail.availability = (1.0 - downtime / (specs.len() as f64 * makespan)).clamp(0.0, 1.0);
+        settle(&mut self.avail, &self.crash_log, &self.delivered, offered, specs.len())?;
 
         let mut chip_energy = Joules::ZERO;
         let mut preemptions = 0;
@@ -252,6 +229,71 @@ impl Ledger {
         );
         Ok((report, prefix))
     }
+}
+
+/// Checks request conservation (`offered == delivered + shed + timed
+/// out`) and fills `avail`'s downtime, time-to-recover and availability
+/// from the crash log, for a fleet of `replicas` over the span from the
+/// first delivered arrival to the last finish. Both topologies settle
+/// their runs here.
+///
+/// # Errors
+///
+/// Returns an internal error if requests were not conserved.
+pub(crate) fn settle(
+    avail: &mut AvailabilityStats,
+    crash_log: &[CrashRecord],
+    delivered: &[Completion],
+    offered: u64,
+    replicas: usize,
+) -> Result<()> {
+    if delivered.len() as u64 + avail.shed + avail.timed_out != offered {
+        return Err(Error::internal(format!(
+            "request conservation violated: {offered} offered but {} delivered, {} shed, \
+             {} timed out",
+            delivered.len(),
+            avail.shed,
+            avail.timed_out
+        )));
+    }
+    let finish = delivered.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
+    let first_arrival = delivered.iter().map(|c| c.arrival).fold(finish, Seconds::min);
+    let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
+    let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
+    let mut downtime = 0.0;
+    for rec in crash_log {
+        let end = clip(rec.up_again.map_or(finish.get(), |u| u.get()));
+        downtime += (end - clip(rec.at.get())).max(0.0);
+        avail
+            .time_to_recover_s
+            .push((rec.first_completion.unwrap_or(finish).get() - rec.at.get()).max(0.0));
+    }
+    avail.downtime_s = downtime;
+    avail.availability = (1.0 - downtime / (replicas as f64 * makespan)).clamp(0.0, 1.0);
+    Ok(())
+}
+
+/// The per-tenant report section over the delivered completions.
+///
+/// # Errors
+///
+/// Returns an internal error if some tenant's requests were not
+/// conserved.
+pub(crate) fn tenant_report(
+    tenancy: Tenancy<'_>,
+    delivered: &[Completion],
+    makespan_s: f64,
+) -> Result<TenantReport> {
+    let tenants = tenancy.ledger.report(delivered, makespan_s);
+    let lost = |u: &&TenantUsage| u.offered != u.completed + u.shed + u.timed_out;
+    if let Some(u) = tenants.tenants.iter().find(lost) {
+        return Err(Error::internal(format!(
+            "request conservation violated for tenant '{}': {} offered but {} completed, \
+             {} shed, {} timed out",
+            u.name, u.offered, u.completed, u.shed, u.timed_out
+        )));
+    }
+    Ok(tenants)
 }
 
 /// Recorder wiring: one track per slot, a control track for driver-side
@@ -349,7 +391,7 @@ pub(crate) fn run_colocated(
         }
         None => (Cow::Borrowed(replicas), vec![(0..replicas.len()).collect()], None),
     };
-    let (sessions, session_of) = sessions_for(&specs)?;
+    let (sessions, session_of) = sessions_for(specs.iter())?;
     let n = specs.len();
     let timeline = fault_timeline(plan, n)?;
     let stream = ArrivalStream::new(traffic)?;
@@ -438,16 +480,7 @@ pub(crate) fn run_colocated(
         ledger.report(&specs, held, label, router, slo_ms, offered, !plan.is_empty())?;
     report.scaling = elastic.map(|e| e.finish(&specs, &ledger));
     if let Some(t) = tenancy {
-        let tenants = t.ledger.report(&ledger.delivered, report.makespan_s);
-        let lost = |u: &&TenantUsage| u.offered != u.completed + u.shed + u.timed_out;
-        if let Some(u) = tenants.tenants.iter().find(lost) {
-            return Err(Error::internal(format!(
-                "request conservation violated for tenant '{}': {} offered but {} completed, \
-                 {} shed, {} timed out",
-                u.name, u.offered, u.completed, u.shed, u.timed_out
-            )));
-        }
-        report.tenants = Some(tenants);
+        report.tenants = Some(tenant_report(t, &ledger.delivered, report.makespan_s)?);
     }
     // Per-incarnation ServingReports are not meaningful across crashes
     // and boots: only a static fleet without a plan reports per replica.
@@ -471,10 +504,12 @@ pub(crate) fn run_colocated(
 /// use, and each slot's session index. Identical replicas share their
 /// pricing state (mapping cache and phase memo), which is a pure function
 /// of the engine, so the fleet prices each configuration once.
-fn sessions_for(specs: &[ReplicaSpec]) -> Result<(Vec<EngineSession>, Vec<usize>)> {
+pub(crate) fn sessions_for<'a>(
+    specs: impl IntoIterator<Item = &'a ReplicaSpec>,
+) -> Result<(Vec<EngineSession>, Vec<usize>)> {
     let mut engines: Vec<ServingEngine> = Vec::new();
     let mut sessions = Vec::new();
-    let mut session_of = Vec::with_capacity(specs.len());
+    let mut session_of = Vec::new();
     for spec in specs {
         let engine = spec.engine()?;
         session_of.push(match engines.iter().position(|e| *e == engine) {

@@ -90,8 +90,9 @@
 //! [`FaultPlan`] combines explicit events with seeded [`ChaosSpec`]
 //! draws from an RNG stream separate from the traffic's, so reseeding
 //! faults never perturbs arrivals — and an *empty* plan adds no events,
-//! keeping zero-fault runs bit-for-bit. Under a plan the drivers route
-//! around down replicas via a
+//! keeping zero-fault runs bit-for-bit. Each topology runs one
+//! fault-aware event loop, in which an empty plan is just data. Under a
+//! plan the loops route around down replicas via a
 //! [`HealthView`], retry lost requests with capped exponential backoff
 //! under a per-request budget and deadline, and report an
 //! [`AvailabilityStats`] section (crashes, downtime, retries, shed /

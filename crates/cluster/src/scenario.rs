@@ -133,7 +133,7 @@ fn closed_loop_point(
 /// prefill/decode versus colocated at matched hardware, a closed-loop
 /// saturation sweep (2 → 8 → 32 clients on one tiny fleet), the
 /// chaos set (seeded crashes, a straggler window, a degraded handoff
-/// link) exercising the failure-aware drivers, the `cluster-day`
+/// link) exercising both fleet loops' fault paths, the `cluster-day`
 /// scale point (10M requests over 100 replicas) exercising the
 /// heap-scheduled event core, and the multi-tenant pair
 /// (`cluster-noisy-neighbor`, `cluster-launch-spike`) exercising SLO

@@ -1,7 +1,7 @@
 //! Autoscaling control-plane invariants, end to end:
 //!
 //! 1. **Pinned bit-identity.** A pinned policy (every band `min == max`,
-//!    no swaps) must dispatch to the plain fleet drivers: completions and
+//!    no swaps) must run as the static fleet it pins: completions and
 //!    report equal a manually-expanded static fleet bit-for-bit — across
 //!    router policies, both topologies, and fault plans. The strongest
 //!    check that installing the control plane changes nothing until a

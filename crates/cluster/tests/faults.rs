@@ -1,11 +1,12 @@
 //! Fault-injection invariants, end to end:
 //!
-//! 1. **Zero-fault bit-identity.** An empty `FaultPlan` takes the exact
-//!    zero-fault code path; a *benign* non-empty plan (a 1.0× straggler
-//!    window, a 1.0× link window) forces the fault-aware drivers and
-//!    must still reproduce the plain drivers' completions bit-for-bit —
-//!    the strongest check that the new event loops add accounting, not
-//!    new scheduling semantics.
+//! 1. **Zero-fault bit-identity.** Each topology runs one fault-aware
+//!    event loop. A *benign* non-empty plan (a 1.0× straggler window, a
+//!    1.0× link window) takes that loop's fault paths — health checks,
+//!    windowed link pricing, deferred colocated deliveries — and must
+//!    still reproduce the empty-plan run's completions bit-for-bit: the
+//!    strongest check that fault handling adds accounting, not new
+//!    scheduling semantics.
 //! 2. **Determinism.** The same fault seed replays the same chaos run;
 //!    fault draws come from their own RNG stream, so they never perturb
 //!    the traffic.

@@ -1,6 +1,11 @@
-//! Universal invariants of the colocated fleet loop over its whole
-//! configuration matrix — router × fault plan × tenant count × scaling
-//! mode — rather than pairwise. Every run, traced and untraced:
+//! Universal invariants of both fleet event loops over their whole
+//! configuration matrix — topology × router × fault plan × tenant count
+//! × scaling mode — rather than pairwise. The colocated loop runs two
+//! tiny groups (static, pinned or elastic) under no plan, a benign 1.0×
+//! straggler window or chaos crashes; the disaggregated loop runs 2
+//! prefill + 2 decode replicas (static or pinned) under no plan, a
+//! benign 1.0×/1.0× link window or decode-pool chaos, with the router
+//! axis picking both pools' routers. Every run, traced and untraced:
 //!
 //! - conserves requests, fleet-wide and per tenant:
 //!   `offered == completed + shed + timed_out`;
@@ -13,8 +18,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use cimtpu_cluster::{
-    AutoscalePolicy, ChaosSpec, ClusterEngine, FaultEvent, FaultPlan, GroupPolicy, Recorder,
-    ReplicaSpec, RouterPolicy, SloClass, TenantSet, TenantSpec,
+    AutoscalePolicy, ChaosSpec, ClusterEngine, FaultEvent, FaultPlan, GroupPolicy,
+    InterconnectSpec, Recorder, ReplicaSpec, RouterPolicy, SloClass, TenantSet, TenantSpec,
 };
 use cimtpu_core::TpuConfig;
 use cimtpu_serving::{
@@ -30,15 +35,22 @@ const ROUTERS: [RouterPolicy; 4] = [
     RouterPolicy::SloAware,
 ];
 
-fn plan(kind: usize, seed: u64) -> FaultPlan {
+fn plan(disagg: bool, kind: usize, seed: u64) -> FaultPlan {
     match kind {
         0 => FaultPlan::none(),
+        1 if disagg => FaultPlan::none().with_event(FaultEvent::DegradedLink {
+            from: Seconds::new(0.000_5),
+            until: Seconds::new(0.003),
+            bandwidth_factor: 1.0,
+            energy_factor: 1.0,
+        }),
         1 => FaultPlan::none().with_event(FaultEvent::Straggler {
             replica: 0,
             from: Seconds::new(0.000_5),
             until: Seconds::new(0.003),
             slowdown: 1.0,
         }),
+        // Disaggregated crashes index the decode pool.
         _ => FaultPlan::seeded(seed).with_chaos(ChaosSpec {
             crashes: 2,
             window: (Seconds::new(0.000_2), Seconds::new(0.002)),
@@ -47,9 +59,10 @@ fn plan(kind: usize, seed: u64) -> FaultPlan {
     }
 }
 
-/// Two tiny groups: static, pinned at one slot each, or elastic (0..2
-/// slots, one initially) — elastic runs take no fault plan.
-fn engine(router: RouterPolicy, faults: FaultPlan, scaling: usize) -> ClusterEngine {
+/// Two tiny colocated groups — static, pinned at one slot each, or
+/// elastic (0..2 slots, one initially) — or, disaggregated, 2 prefill +
+/// 2 decode groups, static or pinned. Elastic runs take no fault plan.
+fn engine(disagg: bool, router: RouterPolicy, faults: FaultPlan, scaling: usize) -> ClusterEngine {
     let spec = |name: &str| {
         ReplicaSpec::new(
             name,
@@ -58,10 +71,19 @@ fn engine(router: RouterPolicy, faults: FaultPlan, scaling: usize) -> ClusterEng
         )
         .with_policy(BatchPolicy::Continuous { max_batch: 4 })
     };
-    let fleet = ClusterEngine::colocated(vec![spec("a"), spec("b")], router)
-        .unwrap()
-        .with_slo_ms(1.0)
-        .with_faults(faults);
+    let fleet = if disagg {
+        ClusterEngine::disaggregated(
+            vec![spec("p0"), spec("p1")],
+            vec![spec("d0"), spec("d1")],
+            router,
+            router,
+            InterconnectSpec::ici(),
+        )
+    } else {
+        ClusterEngine::colocated(vec![spec("a"), spec("b")], router)
+    };
+    let fleet = fleet.unwrap().with_slo_ms(1.0).with_faults(faults);
+    let groups = if disagg { 4 } else { 2 };
     let group = |min, max| GroupPolicy {
         min,
         max,
@@ -75,7 +97,7 @@ fn engine(router: RouterPolicy, faults: FaultPlan, scaling: usize) -> ClusterEng
         interval: Seconds::new(0.000_5),
         provision: Seconds::new(0.000_5),
         warmup: Seconds::new(0.000_2),
-        ..AutoscalePolicy::new(vec![g; 2])
+        ..AutoscalePolicy::new(vec![g; groups])
     };
     match scaling {
         0 => fleet,
@@ -106,19 +128,22 @@ fn tenants(n: usize, seed: u64) -> TenantSet {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn fleet_loop_invariants_hold_across_the_matrix(
+        disagg in any::<bool>(),
         router in 0usize..ROUTERS.len(),
         faults in 0usize..3,
         multi in any::<bool>(),
         scaling in 0usize..3,
         seed in 0u64..1_000,
     ) {
-        // Elastic fleets under a fault plan are a typed error.
+        // Elastic fleets take no fault plan; disaggregated ones are static
+        // or pinned.
+        let scaling = if disagg { scaling.min(1) } else { scaling };
         let faults = if scaling == 2 { 0 } else { faults };
-        let engine = engine(ROUTERS[router], plan(faults, seed), scaling);
+        let engine = engine(disagg, ROUTERS[router], plan(disagg, faults, seed), scaling);
         let set = tenants(if multi { 3 } else { 1 }, seed);
         let plain = engine.run_tenants("matrix", &set).unwrap();
         let rec = Rc::new(RefCell::new(Recorder::new()));

@@ -1,7 +1,7 @@
 //! Fleet-level multi-tenancy invariants:
 //!
-//! 1. **Single-tenant anchor.** A 1-tenant set dispatches to the same
-//!    drivers as the plain run and reproduces its report bit-for-bit —
+//! 1. **Single-tenant anchor.** A 1-tenant set runs the same fleet
+//!    loop as the plain run and reproduces its report bit-for-bit —
 //!    on colocated and disaggregated topologies alike — with only the
 //!    tenants section added.
 //! 2. **Conservation.** The per-tenant ledger partitions the fleet

@@ -1,6 +1,8 @@
-//! Flight-recorder invariants across every driver: event conservation,
-//! well-formed spans, zero observer effect (recorder-on reports equal
-//! recorder-off), and byte-identical same-seed trace exports.
+//! Flight-recorder invariants across both fleet loops (colocated and
+//! disaggregated) and their static, fault and elastic configurations:
+//! event conservation, well-formed spans, zero observer effect
+//! (recorder-on reports equal recorder-off), and byte-identical
+//! same-seed trace exports.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -105,11 +107,11 @@ fn assert_no_observer_effect(name: &str) {
     assert_eq!(observed.completions, plain.completions);
 }
 
-/// The scenario set covering all four drivers: colocated plain
-/// (hetero-fleet), colocated faulty (cluster-chaos-crash,
-/// cluster-straggler), disaggregated plain (smoke-cluster),
-/// disaggregated faulty (cluster-degraded-link), and elastic
-/// (smoke-autoscale).
+/// The scenario set covering both loops in each configuration: the
+/// colocated loop static (hetero-fleet), under faults
+/// (cluster-chaos-crash, cluster-straggler) and elastic
+/// (smoke-autoscale); the disaggregated loop without a plan
+/// (smoke-cluster) and under a degraded link (cluster-degraded-link).
 const DRIVER_SCENARIOS: [&str; 6] = [
     "hetero-fleet",
     "cluster-chaos-crash",
